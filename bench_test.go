@@ -301,50 +301,16 @@ func warmEngine(b *testing.B, e *Engine) {
 	}
 }
 
-// BenchmarkPlannerSelectivityOrder and ...TextOrder compare join work
-// under the greedy selectivity planner versus query-text pattern order on
-// a multi-pattern workload query (the E5 instance). Beyond ns/op, run
-// TestPlannerReducesJoinWork / `trinit-bench` for the JoinBranches and
-// SortedAccesses deltas.
-func BenchmarkPlannerSelectivityOrder(b *testing.B) {
-	benchJoinKernel(b, topk.Options{K: 10})
-}
-
-// BenchmarkPlannerTextOrder is the NoPlan baseline counterpart.
-func BenchmarkPlannerTextOrder(b *testing.B) {
-	benchJoinKernel(b, topk.Options{K: 10, NoPlan: true})
-}
-
-// BenchmarkJoinKernelScan, ...HashProbe and ...HashSemiJoin compare the
-// three join-kernel configurations on the worst-case three-pattern query
-// (an unbound-predicate pattern joined through two shared variables):
-// full-list scans enumerate hundreds of thousands of branches where the
-// hash kernel probes a few dozen buckets. Answers are identical.
-func BenchmarkJoinKernelScan(b *testing.B) {
-	benchJoinKernel(b, topk.Options{K: 10, NoHashJoin: true})
-}
-
-func BenchmarkJoinKernelHashProbe(b *testing.B) {
-	benchJoinKernel(b, topk.Options{K: 10, NoSemiJoin: true})
-}
-
-func BenchmarkJoinKernelHashSemiJoin(b *testing.B) {
-	benchJoinKernel(b, topk.Options{K: 10})
-}
-
-// BenchmarkJoinKernelTuple is the tuple-at-a-time ablation of the
-// default block kernel (NoBlockJoin), on the same hash+semi-join
-// configuration — the block/tuple speedup headline of experiment E5f.
-func BenchmarkJoinKernelTuple(b *testing.B) {
-	benchJoinKernel(b, topk.Options{K: 10, NoBlockJoin: true})
-}
-
-func benchJoinKernel(b *testing.B, opts topk.Options) {
+// BenchmarkJoinKernel measures the join kernel (planner, hash probes,
+// semi-join reduction, block execution) on the worst-case three-pattern
+// query: an unbound-predicate pattern joined through two shared
+// variables.
+func BenchmarkJoinKernel(b *testing.B) {
 	inst := fullInstance()
 	q := query.MustParse("SELECT ?x WHERE { ?x ?p ?y . ?y locatedIn Northford . ?x affiliation ?u }")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(inst.Rules).Expand(q)
-	ev := topk.New(inst.Store, opts)
+	ev := topk.New(inst.Store, topk.Options{K: 10})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ans, _ := ev.Evaluate(q, rewrites)
@@ -394,20 +360,13 @@ func benchRewriteSpace(b *testing.B, parallelism int) {
 	}
 }
 
-// BenchmarkMatcherTokenResolved and ...TokenScan compare match-list
-// building for an unbounded token-predicate pattern — the worst case for
-// the scan baseline, which walks the whole store and similarity-tests
-// every triple, where the resolved matcher touches only the candidate
-// ranges surfaced by the inverted token index. Lists are byte-identical.
-func BenchmarkMatcherTokenResolved(b *testing.B) { benchMatcher(b, false) }
-
-// BenchmarkMatcherTokenScan is the NoTokenIndex baseline counterpart.
-func BenchmarkMatcherTokenScan(b *testing.B) { benchMatcher(b, true) }
-
-func benchMatcher(b *testing.B, noTokenIndex bool) {
+// BenchmarkMatcherTokenResolved measures match-list building for an
+// unbounded token-predicate pattern, where the resolved matcher touches
+// only the candidate ranges surfaced by the inverted token index instead
+// of walking the whole store.
+func BenchmarkMatcherTokenResolved(b *testing.B) {
 	inst := fullInstance()
 	m := score.NewMatcher(inst.Store)
-	m.NoTokenIndex = noTokenIndex
 	p := query.MustParse("?x 'worked at' ?u").Patterns[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,13 +1,11 @@
 package trinit
 
-// Differential contract of the block-at-a-time join kernel, run with
-// -race in CI:
+// Contract of the block-at-a-time join kernel, run with -race in CI:
 //
-//   - randomised fuzz: the block kernel and its tuple-at-a-time ablation
-//     (NoBlockJoin) return byte-identical rankings on randomly generated
-//     join queries, in both incremental and exhaustive mode, serial and
-//     parallel — and the block kernel's probe memoisation never issues
-//     more hash probes than the tuple kernel does;
+//   - randomised fuzz: on randomly generated join queries the kernel
+//     ranks like the reference evaluator in both incremental and
+//     exhaustive mode, serial and parallel — and parallel runs return
+//     the serial run's answers, derivations included;
 //   - cancellation: a cancel raised from a streaming callback mid-join is
 //     observed at a block boundary, drains the join, and surfaces a
 //     Partial result with ErrCanceled.
@@ -15,34 +13,27 @@ package trinit
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"trinit/internal/query"
-	"trinit/internal/relax"
+	"trinit/internal/score"
 	"trinit/internal/topk"
 )
 
-// TestBlockKernelDifferentialFuzz generates random 1-3 pattern queries
-// over the synthetic world's vocabulary (resources, literals and noisy
-// textual tokens) and pins block against tuple execution: renderAnswers
-// compares bindings and exact scores (%.17g round-trips float64), so a
-// byte-equal rendering means byte-identical rankings.
-func TestBlockKernelDifferentialFuzz(t *testing.T) {
+// TestBlockKernelReferenceDifferentialFuzz generates random 1-3 pattern
+// queries over the synthetic world's vocabulary (resources, literals and
+// noisy textual tokens) and checks every kernel ranking against the
+// reference evaluator; parallel runs must also be reflect.DeepEqual to
+// the serial run.
+func TestBlockKernelReferenceDifferentialFuzz(t *testing.T) {
 	inst := fullInstance()
 	v := newPatternVocab(inst.Store, 31)
-	type pair struct {
-		mode  topk.Mode
-		tuple *topk.Evaluator
-		block *topk.Evaluator
-	}
-	pairs := []pair{
-		{topk.Incremental,
-			topk.New(inst.Store, topk.Options{K: 10, Mode: topk.Incremental, NoBlockJoin: true}),
-			topk.New(inst.Store, topk.Options{K: 10, Mode: topk.Incremental})},
-		{topk.Exhaustive,
-			topk.New(inst.Store, topk.Options{K: 10, Mode: topk.Exhaustive, NoBlockJoin: true}),
-			topk.New(inst.Store, topk.Options{K: 10, Mode: topk.Exhaustive})},
+	m := score.NewMatcher(inst.Store)
+	evs := make([]*topk.Evaluator, len(kernelModes))
+	for i, km := range kernelModes {
+		evs[i] = topk.New(inst.Store, topk.Options{K: 10, Mode: km.mode})
 	}
 	for round := 0; round < 60; round++ {
 		q := &query.Query{Patterns: []query.Pattern{v.pattern()}}
@@ -52,37 +43,20 @@ func TestBlockKernelDifferentialFuzz(t *testing.T) {
 		if len(q.ProjectedVars()) == 0 {
 			continue // no variables, nothing to differentiate
 		}
-		q.Projection = q.ProjectedVars()
-		rewrites := relax.NewExpander(inst.Rules).Expand(q)
-		for _, p := range pairs {
-			tuple, tm := p.tuple.Evaluate(q, rewrites)
-			block, bm := p.block.Evaluate(q, rewrites)
-			want := renderAnswers(inst.Store, tuple)
-			got := renderAnswers(inst.Store, block)
-			if got != want {
-				t.Fatalf("round %d (%v): query %s: block answers differ\n--- block\n%s--- tuple\n%s",
-					round, p.mode, q, got, want)
+		c := newRefCase(fmt.Sprintf("round %d", round), m, inst.Rules, q)
+		for i, km := range kernelModes {
+			serial, _, err := evs[i].Run(context.Background(), q, c.rewrites, topk.RunConfig{})
+			if err != nil {
+				t.Fatalf("round %d (%s): %v", round, km.name, err)
 			}
-			// Probe memoisation: consecutive frontier rows sharing
-			// their bound-slot key reuse one probe, so the block
-			// kernel can only issue fewer. Asserted in exhaustive
-			// mode only, where both kernels provably enumerate the
-			// same branches (incremental pruning granularity differs).
-			if p.mode == topk.Exhaustive && bm.HashProbes > tm.HashProbes {
-				t.Fatalf("round %d: query %s: block issued %d probes, tuple %d",
-					round, q, bm.HashProbes, tm.HashProbes)
+			c.check(t, "["+km.name+" P=1]", serial)
+			par, _, err := evs[i].Run(context.Background(), q, c.rewrites, topk.RunConfig{Parallelism: 4})
+			if err != nil {
+				t.Fatalf("round %d (%s) P=4: %v", round, km.name, err)
 			}
-			// Parallel schedules of the block kernel must agree with
-			// its serial run answer-for-answer, derivations included.
-			for _, par := range []int{1, 4} {
-				pans, _, err := p.block.Run(context.Background(), q, rewrites, topk.RunConfig{Parallelism: par})
-				if err != nil {
-					t.Fatalf("round %d (%v) P=%d: %v", round, p.mode, par, err)
-				}
-				if !reflect.DeepEqual(pans, block) {
-					t.Fatalf("round %d (%v) P=%d: query %s: parallel block answers differ from serial",
-						round, p.mode, par, q)
-				}
+			c.check(t, "["+km.name+" P=4]", par)
+			if !reflect.DeepEqual(par, serial) {
+				t.Fatalf("round %d (%s) P=4: query %s: parallel answers differ from serial", round, km.name, q)
 			}
 		}
 	}

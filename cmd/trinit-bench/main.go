@@ -5,22 +5,18 @@
 //
 // Usage:
 //
-//	trinit-bench [-exp all|e1|...|e10|e5,e9,e10] [-scale small|bench|benchxN] [-queries 70] [-seed 1] [-json BENCH_10.json]
+//	trinit-bench [-exp all|e1|...|e10|e5,e9,e10] [-scale small|bench|benchxN] [-queries 70] [-seed 1]
 //
 // -scale benchxN multiplies the bench world's entity counts by N (e.g.
 // benchx100 for a ~100× world) — the regime where zero-copy mapped
 // segments pay off.
 //
-// -exp accepts a comma-separated list. With -json, the E5 efficiency
-// metrics (main table, join-kernel ablation, token-matching ablation,
-// serial-vs-parallel scheduling, each with ns/op) — plus the E9
-// persistence rows when e9 runs and the E10 sharding rows when e10 runs
-// — are additionally written as a machine-readable artifact, so CI runs
-// accumulate a perf trajectory.
+// -exp accepts a comma-separated list. The tables are for reading; the
+// repository's machine-readable performance record is the bench/
+// benchmark.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,39 +28,11 @@ import (
 	"trinit/internal/experiments"
 )
 
-// benchArtifact is the JSON shape written by -json.
-type benchArtifact struct {
-	Schema       string                    `json:"schema"`
-	Scale        string                    `json:"scale"`
-	Queries      int                       `json:"queries"`
-	Seed         int64                     `json:"seed"`
-	E5           []experiments.E5Row       `json:"e5"`
-	E5Kernels    []experiments.E5KernelRow `json:"e5_kernels"`
-	E5TokenMatch []experiments.E5TokenRow  `json:"e5_token_match"`
-	// E5Parallel holds the serial-vs-parallel scheduler rows (ns/op and
-	// speedup ratio per width) on the wide-rewrite workload.
-	E5Parallel []experiments.E5ParallelRow `json:"e5_parallel"`
-	// E5Block holds the block-vs-tuple join-execution rows (ns/op and
-	// speedup ratio per kernel) on the wide-rewrite workload.
-	E5Block []experiments.E5BlockRow `json:"e5_block"`
-	// TokenMatchIndexScanRatio is baseline/resolved mean IndexScanned on
-	// the token-pattern workload — the list-building reduction factor.
-	TokenMatchIndexScanRatio float64 `json:"token_match_index_scan_ratio"`
-	// Persist holds the E9 durability rows (snapshot write/load
-	// wall-clock and bytes, delta-log throughput), present when e9 ran.
-	Persist []experiments.E9PersistRow `json:"persist,omitempty"`
-	// E10Shards holds the sharded scatter-gather rows (speedup vs
-	// unsharded, skew, bound broadcasts, cross-shard prunes, residual
-	// rewrites per N), present when e10 ran.
-	E10Shards []experiments.E10ShardRow `json:"e10_shards,omitempty"`
-}
-
 func main() {
 	exp := flag.String("exp", "all", "experiments to run: all, or a comma list of e1..e10")
 	scale := flag.String("scale", "small", "world scale: small, bench, or benchxN for an N-times bench world")
 	queries := flag.Int("queries", 70, "workload size (paper: 70)")
 	seed := flag.Int64("seed", 1, "world seed")
-	jsonPath := flag.String("json", "", "write E5 metrics to this file as JSON (requires e5 to run)")
 	flag.Parse()
 
 	cfg := dataset.DefaultConfig()
@@ -108,7 +76,6 @@ func main() {
 	}
 
 	ran := false
-	var art *benchArtifact
 	if want("e1") {
 		ran = true
 		fmt.Println(experiments.FormatE1(experiments.RunE1(world(), *queries, 10)))
@@ -127,32 +94,11 @@ func main() {
 	}
 	if want("e5") {
 		ran = true
-		// E5 caps the workload at 20 queries; the artifact records the
-		// effective size so runs stay comparable across -queries values.
+		// E5 caps the workload at 20 queries.
 		e5Queries := min(*queries, 20)
-		e5 := experiments.RunE5(world(), e5Queries, nil)
-		fmt.Println(experiments.FormatE5(e5))
+		fmt.Println(experiments.FormatE5(experiments.RunE5(world(), e5Queries, nil)))
 		fmt.Println(experiments.FormatE5Depth(experiments.RunE5Depth(world(), e5Queries, nil)))
-		kernels := experiments.RunE5Kernels(world(), e5Queries, 10)
-		fmt.Println(experiments.FormatE5Kernels(kernels))
-		tokens := experiments.RunE5TokenMatch(world(), e5Queries, 10)
-		fmt.Println(experiments.FormatE5TokenMatch(tokens))
-		parallel := experiments.RunE5Parallel(world(), e5Queries, 10, nil)
-		fmt.Println(experiments.FormatE5Parallel(parallel))
-		blocks := experiments.RunE5Blocks(world(), e5Queries, 10)
-		fmt.Println(experiments.FormatE5Blocks(blocks))
-		art = &benchArtifact{
-			Schema:                   "trinit-bench/e5/v6",
-			Scale:                    *scale,
-			Queries:                  e5Queries,
-			Seed:                     *seed,
-			E5:                       e5,
-			E5Kernels:                kernels,
-			E5TokenMatch:             tokens,
-			E5Parallel:               parallel,
-			E5Block:                  blocks,
-			TokenMatchIndexScanRatio: experiments.TokenMatchIndexScanRatio(tokens),
-		}
+		fmt.Println(experiments.FormatE5Parallel(experiments.RunE5Parallel(world(), e5Queries, 10, nil)))
 	}
 	if want("e6") {
 		ran = true
@@ -177,43 +123,13 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(experiments.FormatE9Persist(rows))
-		if art != nil {
-			art.Persist = rows
-		}
 	}
 	if want("e10") {
 		ran = true
-		rows := experiments.RunE10Shards(world(), min(*queries, 20), 10, nil)
-		fmt.Println(experiments.FormatE10Shards(rows))
-		if art != nil {
-			art.E10Shards = rows
-		}
+		fmt.Println(experiments.FormatE10Shards(experiments.RunE10Shards(world(), min(*queries, 20), 10, nil)))
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "trinit-bench: unknown experiment %q (use all, or a comma list of e1..e10)\n", *exp)
 		os.Exit(2)
 	}
-	if *jsonPath != "" {
-		if art == nil {
-			fmt.Fprintf(os.Stderr, "trinit-bench: -json requires e5 to run (got -exp %s); no artifact written\n", *exp)
-			os.Exit(2)
-		}
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trinit-bench: marshal %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "trinit-bench: write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n\n", *jsonPath)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -41,12 +41,12 @@ func Systems() []System {
 }
 
 // Instance is a built system: store plus rule set, with one persistent
-// evaluator per processing configuration (their pattern-list caches model
+// evaluator per processing mode (their pattern-list caches model
 // the precomputed index lists of the original backend).
 type Instance struct {
 	Store      *store.Store
 	Rules      []*relax.Rule
-	evaluators map[topk.Options]*topk.Evaluator
+	evaluators map[topk.Mode]*topk.Evaluator
 }
 
 // Build constructs an instance of a system over a generated world.
@@ -71,17 +71,11 @@ func Build(w *dataset.World, sys System) *Instance {
 }
 
 // RunQuery evaluates one workload query on an instance and returns the
-// ranked answer texts of the projected variable.
+// ranked answer texts of the projected variable. Evaluators (and their
+// warmed match-list caches) are kept per mode, so a k sweep reuses one
+// warmed cache per mode — the caches model the precomputed index lists
+// of the original backend.
 func (inst *Instance) RunQuery(text, projVar string, k int, mode topk.Mode) ([]string, topk.Metrics, error) {
-	return inst.RunQueryOpts(text, projVar, topk.Options{K: k, Mode: mode})
-}
-
-// RunQueryOpts is RunQuery with full control over the processing options,
-// for kernel and planner ablations. Evaluators (and their warmed
-// match-list caches) are kept per distinct option set with K normalised
-// out, so a k sweep reuses one warmed cache per configuration — the
-// caches model the precomputed index lists of the original backend.
-func (inst *Instance) RunQueryOpts(text, projVar string, opts topk.Options) ([]string, topk.Metrics, error) {
 	q, err := query.Parse(text)
 	if err != nil {
 		return nil, topk.Metrics{}, err
@@ -89,16 +83,14 @@ func (inst *Instance) RunQueryOpts(text, projVar string, opts topk.Options) ([]s
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(inst.Rules).Expand(q)
 	if inst.evaluators == nil {
-		inst.evaluators = make(map[topk.Options]*topk.Evaluator)
+		inst.evaluators = make(map[topk.Mode]*topk.Evaluator)
 	}
-	key := opts
-	key.K = 0
-	ev, ok := inst.evaluators[key]
+	ev, ok := inst.evaluators[mode]
 	if !ok {
-		ev = topk.New(inst.Store, opts)
-		inst.evaluators[key] = ev
+		ev = topk.New(inst.Store, topk.Options{Mode: mode})
+		inst.evaluators[mode] = ev
 	}
-	answers, m, _ := ev.Run(context.Background(), q, rewrites, topk.RunConfig{K: opts.K})
+	answers, m, _ := ev.Run(context.Background(), q, rewrites, topk.RunConfig{K: k})
 	ranked := make([]string, 0, len(answers))
 	for _, a := range answers {
 		ranked = append(ranked, inst.Store.Dict().Term(a.Bindings[projVar]).Text)
@@ -456,78 +448,6 @@ func FormatE5(rows []E5Row) string {
 		fmt.Fprintf(&b, "%4d %-12s %10.2f %12.1f %12.1f %10.2f %10.2f %12.1f %12.1f %10.1f %10.1f\n",
 			r.K, r.Mode, r.MeanMillis, r.MeanAccesses, r.MeanIndexScanned, r.MeanRewritesEval, r.MeanRewritesSkip,
 			r.MeanJoinBranches, r.MeanPrunedBranches, r.MeanHashProbes, r.MeanSemiDropped)
-	}
-	return b.String()
-}
-
-// E5KernelRow is one join-kernel configuration measured over the workload.
-type E5KernelRow struct {
-	Kernel           string  `json:"kernel"`
-	MeanMillis       float64 `json:"mean_millis"`
-	NsPerOp          float64 `json:"ns_per_op"`
-	MeanAccesses     float64 `json:"mean_sorted_accesses"`
-	MeanJoinBranches float64 `json:"mean_join_branches"`
-	MeanHashProbes   float64 `json:"mean_hash_probes"`
-	MeanSemiDropped  float64 `json:"mean_semijoin_dropped"`
-}
-
-// RunE5Kernels compares join-kernel configurations on the full system:
-// the legacy full-scan kernel (the PR 1 baseline), hash-index probing
-// alone, and hash probing plus semi-join reduction (the default). Answers
-// are identical across configurations; only the work differs.
-func RunE5Kernels(w *dataset.World, numQueries, k int) []E5KernelRow {
-	inst := Build(w, System{Name: "full", UseXKG: true, UseRelax: true})
-	workload := w.Workload(numQueries)
-	configs := []struct {
-		name string
-		opts topk.Options
-	}{
-		{"scan (legacy)", topk.Options{K: k, NoHashJoin: true}},
-		{"hash-probe", topk.Options{K: k, NoSemiJoin: true}},
-		{"hash+semijoin", topk.Options{K: k}},
-	}
-	var rows []E5KernelRow
-	for _, cfg := range configs {
-		var ms, acc, jb, hp, sd float64
-		n := 0
-		for _, wq := range workload {
-			start := time.Now()
-			_, m, err := inst.RunQueryOpts(wq.Text, wq.Var, cfg.opts)
-			if err != nil {
-				continue
-			}
-			ms += float64(time.Since(start).Microseconds()) / 1000
-			acc += float64(m.SortedAccesses)
-			jb += float64(m.JoinBranches)
-			hp += float64(m.HashProbes)
-			sd += float64(m.SemiJoinDropped)
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		rows = append(rows, E5KernelRow{
-			Kernel:           cfg.name,
-			MeanMillis:       ms / float64(n),
-			NsPerOp:          ms / float64(n) * 1e6,
-			MeanAccesses:     acc / float64(n),
-			MeanJoinBranches: jb / float64(n),
-			MeanHashProbes:   hp / float64(n),
-			MeanSemiDropped:  sd / float64(n),
-		})
-	}
-	return rows
-}
-
-// FormatE5Kernels renders the kernel-comparison table.
-func FormatE5Kernels(rows []E5KernelRow) string {
-	var b strings.Builder
-	b.WriteString("E5c: join-kernel ablation at k=10, incremental mode (answers identical across kernels)\n")
-	fmt.Fprintf(&b, "%-16s %10s %12s %12s %10s %10s\n",
-		"kernel", "ms/query", "sorted.acc", "join.br", "probes", "semi.drop")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %10.2f %12.1f %12.1f %10.1f %10.1f\n",
-			r.Kernel, r.MeanMillis, r.MeanAccesses, r.MeanJoinBranches, r.MeanHashProbes, r.MeanSemiDropped)
 	}
 	return b.String()
 }

@@ -24,7 +24,8 @@
 // similarities use the same text.Similarity at the same MinTokenSim, so
 // the resulting match lists are byte-identical to the scan path's; the
 // scan path remains as the fallback for unbounded candidate cross-products
-// and as the measured NoTokenIndex baseline.
+// (MatchPatternScan exposes it alone, as the reference for the resolved
+// path).
 package score
 
 import (
@@ -62,35 +63,49 @@ type Match struct {
 // it extends one running-probability value acc across the candidate
 // entries of a score-sorted match list, appending the products acc·Prob
 // to dst as a column. cand selects list positions (nil means every entry
-// of ms, in order). The inner loop is a branch-free multiply except for
-// one monotone cut: weighted is the row's weight-scaled prefix
-// probability and suffix the best possible completion of the remaining
-// patterns, so (weighted·Prob)·suffix is the branch's score bound —
-// computed with exactly the association the tuple kernel uses, so both
-// kernels take bit-identical pruning decisions. Candidates arrive in
+// of ms, in order). The inner loop is a multiply plus one monotone cut:
+// heads holds the head (best) probability of every remaining join depth,
+// in join order, and the branch's score bound is
+//
+//	weight·(((acc·Prob)·heads[0])·…·heads[len-1])
+//
+// — the same left-to-right fold the realised score weight·(acc·p…) takes,
+// with every later factor replaced by its upper bound. IEEE multiplication
+// of non-negative values is monotone in each argument, so this bound is
+// >= the score of every completion bit for bit (a differently associated
+// bound can land one ulp below a score it guards). Candidates arrive in
 // descending Prob order, hence the first bound strictly below limit cuts
-// the whole remaining column. It returns the extended column and the
-// number of candidates consumed; limit 0 never cuts (bounds are
-// non-negative), which is the exhaustive mode.
-func BoundedExtend(ms []Match, cand []int32, acc, weighted, suffix, limit float64, dst []float64) ([]float64, int) {
-	if cand == nil {
-		for j := range ms {
-			prob := ms[j].Prob
-			if (weighted*prob)*suffix < limit {
-				return dst, j
-			}
-			dst = append(dst, acc*prob)
-		}
-		return dst, len(ms)
+// the whole remaining column; a bound equal to limit survives, so a
+// branch that can tie the k-th score is enumerated. It returns the
+// extended column and the number of candidates consumed; limit 0 never
+// cuts (bounds are non-negative), which is the exhaustive mode.
+func BoundedExtend(ms []Match, cand []int32, acc, weight float64, heads []float64, limit float64, dst []float64) ([]float64, int) {
+	n := len(ms)
+	if cand != nil {
+		n = len(cand)
 	}
-	for j, p := range cand {
-		prob := ms[p].Prob
-		if (weighted*prob)*suffix < limit {
+	for j := 0; j < n; j++ {
+		p := j
+		if cand != nil {
+			p = int(cand[j])
+		}
+		ext := acc * ms[p].Prob
+		if bound(weight, ext, heads) < limit {
 			return dst, j
 		}
-		dst = append(dst, acc*prob)
+		dst = append(dst, ext)
 	}
-	return dst, len(cand)
+	return dst, n
+}
+
+// bound folds the remaining depths' head probabilities into a branch's
+// extended running probability ext, left to right, and weights the
+// result: the score bound of BoundedExtend.
+func bound(weight, ext float64, heads []float64) float64 {
+	for _, h := range heads {
+		ext *= h
+	}
+	return weight * ext
 }
 
 // BindingOf returns the term this match binds to variable v, or false when
@@ -116,10 +131,9 @@ type MatchStats struct {
 	// token index.
 	TokenResolutions int
 	// ScanFallback reports that a pattern with token slots was matched by
-	// the legacy wildcard scan — because token resolution was disabled
-	// (NoTokenIndex, MinTokenSim <= 0), the candidate cross-product
-	// exceeded maxTokenCombos, or the candidate ranges were no smaller
-	// than the wildcard range.
+	// the wildcard scan — because MinTokenSim <= 0, the candidate
+	// cross-product exceeded maxTokenCombos, or the candidate ranges were
+	// no smaller than the wildcard range.
 	ScanFallback bool
 }
 
@@ -138,10 +152,6 @@ type Matcher struct {
 	// NoNormalize skips the per-pattern normalisation, ablating the
 	// idf-like selectivity effect (experiment E8).
 	NoNormalize bool
-	// NoTokenIndex forces the legacy wildcard-scan path for token slots,
-	// ablating inverted-index candidate resolution. Match lists are
-	// byte-identical either way; only the list-building work differs.
-	NoTokenIndex bool
 	// Resolver, when set, replaces direct store.MatchToken calls for
 	// token-slot resolution. Implementations must return exactly
 	// store.MatchToken(tok, store.MaskAny, minSim, 0) — the hook exists
@@ -243,8 +253,26 @@ func (m *Matcher) MatchPatternCounted(p query.Pattern) ([]Match, MatchStats) {
 		}
 		return m.finish(p, out), stats
 	}
+	return m.scan(p, &cp, stats)
+}
+
+// MatchPatternScan builds the pattern's list by the wildcard scan alone,
+// never consulting the token index. Its lists are byte-identical to
+// MatchPatternCounted's, which makes it the reference that token
+// resolution is tested against.
+func (m *Matcher) MatchPatternScan(p query.Pattern) ([]Match, MatchStats) {
+	cp, ok := m.compile(p)
+	if !ok {
+		return nil, MatchStats{}
+	}
+	return m.scan(p, &cp, MatchStats{})
+}
+
+// scan finishes a list built by gatherScan, flagging token patterns as
+// scan fallbacks.
+func (m *Matcher) scan(p query.Pattern, cp *compiledPattern, stats MatchStats) ([]Match, MatchStats) {
 	stats.ScanFallback = cp.hasToken
-	return m.finish(p, m.gatherScan(&cp, &stats)), stats
+	return m.finish(p, m.gatherScan(cp, &stats)), stats
 }
 
 // appendMatch scores one candidate triple and appends it unless a repeated
@@ -262,10 +290,9 @@ func (m *Matcher) appendMatch(out *[]Match, cp *compiledPattern, id store.ID, fa
 	*out = append(*out, Match{Triple: id, Raw: conf * factor, Bindings: bindings})
 }
 
-// gatherScan is the legacy list-building path: materialise the wildcard
-// index range and similarity-test every candidate triple. It remains the
-// fallback for patterns token resolution cannot bound, and the measured
-// NoTokenIndex baseline.
+// gatherScan is the wildcard-scan list-building path: materialise the
+// wildcard index range and similarity-test every candidate triple. It
+// remains the fallback for patterns token resolution cannot bound.
 func (m *Matcher) gatherScan(cp *compiledPattern, stats *MatchStats) []Match {
 	cands := m.St.Match(cp.ids[0], cp.ids[1], cp.ids[2])
 	out := make([]Match, 0, len(cands))
@@ -323,15 +350,15 @@ type comboRange struct {
 // visited twice.
 //
 // resolved is false when the pattern must use the scan path: it has no
-// token slots, resolution is disabled (NoTokenIndex, or MinTokenSim <= 0,
-// where zero-similarity matches exist that the index cannot enumerate),
+// token slots, MinTokenSim <= 0 (zero-similarity matches exist that the
+// index cannot enumerate),
 // the cross-product exceeds maxTokenCombos, or the combined ranges are no
 // smaller than the wildcard range one scan would touch. empty reports a
 // pattern proven matchless during resolution (a token slot with no
 // candidate at MinTokenSim — MatchToken is complete for positive
 // similarities, so nothing can match).
 func (m *Matcher) resolveCombos(cp *compiledPattern, stats *MatchStats) (ranges []comboRange, empty, resolved bool) {
-	if !cp.hasToken || m.NoTokenIndex || m.MinTokenSim <= 0 {
+	if !cp.hasToken || m.MinTokenSim <= 0 {
 		return nil, false, false
 	}
 	// Resolve every token slot before enforcing the combo cap: a slot

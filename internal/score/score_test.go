@@ -222,13 +222,11 @@ func TestDeterministicOrder(t *testing.T) {
 
 // TestTokenResolvedMatchesScanByteIdentical: on the demo store, every
 // token-pattern shape must produce the same rendered match list on the
-// token-resolved and the NoTokenIndex scan path (probabilities compared
+// token-resolved path and the wildcard scan (probabilities compared
 // exactly via %.17g).
 func TestTokenResolvedMatchesScanByteIdentical(t *testing.T) {
 	st := demoStore()
-	resolved := NewMatcher(st)
-	scan := NewMatcher(st)
-	scan.NoTokenIndex = true
+	m := NewMatcher(st)
 	render := func(ms []Match) string {
 		var b strings.Builder
 		for _, m := range ms {
@@ -246,8 +244,8 @@ func TestTokenResolvedMatchesScanByteIdentical(t *testing.T) {
 		"?x 'won nobel for' 'photoelectric effect discovery'", // two token slots
 	} {
 		p := query.MustParse(qs).Patterns[0]
-		rm, _ := resolved.MatchPatternCounted(p)
-		sm, _ := scan.MatchPatternCounted(p)
+		rm, _ := m.MatchPatternCounted(p)
+		sm, _ := m.MatchPatternScan(p)
 		if got, want := render(rm), render(sm); got != want {
 			t.Errorf("%s: lists differ\n--- token-resolved\n%s--- scan\n%s", qs, got, want)
 		}
@@ -255,12 +253,13 @@ func TestTokenResolvedMatchesScanByteIdentical(t *testing.T) {
 }
 
 // TestSelectivityTokenPatterns: Selectivity must equal the match-list
-// length for token patterns and repeated-variable patterns on both paths.
+// length for token patterns and repeated-variable patterns on both paths
+// (MinTokenSim 0 forces the scan path).
 func TestSelectivityTokenPatterns(t *testing.T) {
 	st := demoStore()
-	for _, noIndex := range []bool{false, true} {
+	for _, minSim := range []float64{NewMatcher(st).MinTokenSim, 0} {
 		m := NewMatcher(st)
-		m.NoTokenIndex = noIndex
+		m.MinTokenSim = minSim
 		for _, qs := range []string{
 			"?x 'lectured at' ?y",
 			"?x 'lectured at' ?x",
@@ -270,7 +269,7 @@ func TestSelectivityTokenPatterns(t *testing.T) {
 		} {
 			p := query.MustParse(qs).Patterns[0]
 			if got, want := m.Selectivity(p), len(m.MatchPattern(p)); got != want {
-				t.Errorf("NoTokenIndex=%v %s: Selectivity = %d, matches = %d", noIndex, qs, got, want)
+				t.Errorf("MinTokenSim=%v %s: Selectivity = %d, matches = %d", minSim, qs, got, want)
 			}
 		}
 	}

@@ -1,31 +1,34 @@
 package topk
 
-// This file implements the block-at-a-time join kernel, the default
-// execution strategy when hash joins are enabled (Options.NoBlockJoin
-// reverts to the tuple-at-a-time kernel in topk.go).
+// This file implements the join kernel — the only one: every rewrite,
+// single-pattern ones included, is enumerated here.
 //
 // The in-flight join frontier is a batch of prefix bindings in columnar
 // form: one []rdf.TermID column per variable slot of the rewrite's
 // varPlan plus a parallel running-probability column. Each join depth
-// extends the whole block in one pass — probing the PR 2 hash buckets
-// per prefix, evaluating the score-bound arithmetic branch-free over the
-// candidate list (score.BoundedExtend) and appending surviving
+// extends the whole block in one pass — probing the hash buckets of the
+// pattern's list per prefix (join.go), evaluating the score bound over
+// the candidate column (score.BoundedExtend) and appending surviving
 // (prefix × candidate) rows into a reusable output block. Only rows that
-// survive to full depth and clear the shared top-k bound are projected
-// back into the map-based Answer representation, through the same
-// recordBinding the tuple kernel uses.
+// survive to full depth are projected back into the map-based Answer
+// representation, through recordBinding.
 //
-// Enumeration-order identity: output rows are appended in (input row,
-// candidate) order and a full output block is flushed — extended
-// depth-first through all remaining depths — before later input rows are
-// processed. By induction complete bindings materialise in exactly the
-// tuple kernel's depth-first order, so the canonical sequence numbers
-// that break score ties are assigned in the same relative order and the
-// two kernels rank identically. (In incremental mode the block kernel
-// may prune with a slightly staler threshold — the bound is refreshed at
-// block boundaries rather than per tuple — which can only prune *less*;
-// anything either kernel prunes is strictly below the final k-th score,
-// so rankings stay byte-identical.)
+// Enumeration order: output rows are appended in (input row, candidate)
+// order and a full output block is flushed — extended depth-first
+// through all remaining depths — before later input rows are processed,
+// so complete bindings materialise in depth-first order and receive
+// their canonical sequence numbers (the tie-break identity of a
+// derivation) deterministically.
+//
+// Pruning: a candidate is cut when its score bound — the realised
+// score's own left-to-right fold with every later factor replaced by its
+// depth's head probability — is strictly below the top-k threshold. The
+// bound is >= every completion's score bit for bit, and the threshold
+// is the k-th score already recorded, so a cut branch can neither enter
+// the top k nor tie its k-th score; incremental and exhaustive mode
+// rank byte-identically. The threshold is read at block boundaries, not
+// per tuple: a flush may have recorded answers that tightened it, and a
+// staler threshold only prunes less.
 
 import (
 	"trinit/internal/faultinject"
@@ -143,8 +146,8 @@ func (r *run) blockExtend(e *joinEnv, d int) {
 	// non-negative bound never goes below it, so BoundedExtend scans the
 	// full candidate list), the shared top-k threshold in incremental
 	// mode. It is refreshed at block boundaries — a flush may have
-	// recorded answers that tightened it — not per tuple, so it is only
-	// ever staler (never tighter) than the tuple kernel's bound.
+	// recorded answers that tightened it — not per tuple; a staler
+	// threshold only prunes less.
 	var thLimit float64
 	// thRemote marks that the captured bound was driven by a remote
 	// shard's broadcast rather than local answers, attributing this
@@ -193,7 +196,6 @@ func (r *run) blockExtend(e *joinEnv, d int) {
 
 	for row := 0; row < in.rows; row++ {
 		acc := in.acc[row]
-		weighted := e.rw.Weight * acc
 		var key [3]rdf.TermID
 		for vi := range slots {
 			key[vi] = in.slots[slots[vi]][row]
@@ -224,7 +226,7 @@ func (r *run) blockExtend(e *joinEnv, d int) {
 		}
 		// Branch-free score pass over the candidate list: one output
 		// probability per candidate up to the bound cut.
-		accBuf, consumed := score.BoundedExtend(pl.matches, scan, acc, weighted, e.suffix[d+1], thLimit, sc.accBufs[d][:0])
+		accBuf, consumed := score.BoundedExtend(pl.matches, scan, acc, e.rw.Weight, e.heads[d+1:], thLimit, sc.accBufs[d][:0])
 		sc.accBufs[d] = accBuf
 		if consumed < total {
 			// The cut point: every remaining candidate has lower
@@ -285,8 +287,8 @@ func (r *run) blockExtend(e *joinEnv, d int) {
 
 // blockMaterialise projects the full-depth frontier back into answers:
 // each row is gathered into the run's flat binding array, filtered, and
-// handed to recordBinding — the same convergence point as the tuple
-// kernel, so keys, scores and derivation identity are kernel-independent.
+// handed to recordBinding with the score W·acc — the fold the score
+// bound in BoundedExtend mirrors.
 func (r *run) blockMaterialise(e *joinEnv) {
 	sc := &r.sc
 	b := sc.blocks[e.n]

@@ -145,8 +145,11 @@ func (ev *Executor) runParallel(ctx context.Context, q *query.Query, rewrites []
 	// The rewrite queue: pop hands out indices in canonical order and
 	// applies the weight-bound skip against the *current* shared
 	// threshold. Weights descend, so one dominated rewrite proves the
-	// whole tail dominated; the bound is strict, as in the serial
-	// schedule, so rewrites able to tie the k-th score still run.
+	// whole tail dominated. The skip is sound bit for bit: every score
+	// is fl(W·x) with x a product of probabilities, x <= 1, and rounded
+	// multiplication is monotone, so fl(W·x) <= W. The bound is strict,
+	// as in the serial schedule, so rewrites able to tie the k-th score
+	// still run.
 	var (
 		qmu        sync.Mutex
 		next       int

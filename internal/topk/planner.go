@@ -83,22 +83,17 @@ func estimateSelectivity(st *store.Store, p query.Pattern, minTokenSim float64, 
 }
 
 // plan orders the pattern indices of one rewrite by ascending estimated
-// selectivity (stable, so ties keep query-text order) and reports whether
-// the order differs from query-text order.
-func (ex *Executor) plan(pats []query.Pattern) (order []int, reordered bool) {
-	return ex.planWith(pats, query.Pattern.String)
-}
-
-// planWith is plan with the pattern cache key supplied by the caller —
-// runs pass their memoised patKey so planning a rewrite does not re-render
-// pattern strings the evaluation already rendered.
-func (ex *Executor) planWith(pats []query.Pattern, keyOf func(query.Pattern) string) (order []int, reordered bool) {
-	order = make([]int, len(pats))
+// selectivity (stable, so ties keep query-text order). keyOf supplies the
+// pattern cache key — runs pass their memoised patKey so planning a
+// rewrite does not re-render pattern strings the evaluation already
+// rendered.
+func (ex *Executor) plan(pats []query.Pattern, keyOf func(query.Pattern) string) []int {
+	order := make([]int, len(pats))
 	for i := range order {
 		order[i] = i
 	}
 	if len(pats) <= 1 {
-		return order, false
+		return order
 	}
 	est := make([]int, len(pats))
 	for i, p := range pats {
@@ -108,6 +103,7 @@ func (ex *Executor) planWith(pats []query.Pattern, keyOf func(query.Pattern) str
 		})
 	}
 	sort.SliceStable(order, func(a, b int) bool { return est[order[a]] < est[order[b]] })
+	reordered := false
 	for i, pi := range order {
 		if pi != i {
 			reordered = true
@@ -115,5 +111,5 @@ func (ex *Executor) planWith(pats []query.Pattern, keyOf func(query.Pattern) str
 		}
 	}
 	ex.cache.notePlan(reordered)
-	return order, reordered
+	return order
 }

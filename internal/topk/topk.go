@@ -15,9 +15,14 @@
 //     ("going only as far as necessary into each triple pattern index
 //     list").
 //
-// The same evaluator also runs in exhaustive mode — materialising every
-// rewrite completely — which serves as the correctness reference and as
-// the cost baseline of experiment E5.
+// Joins run on one kernel: the block-at-a-time join over hash buckets of
+// semi-join-reduced match lists, in the greedy planner's order
+// (block.go, join.go, planner.go). The same evaluator also runs in
+// exhaustive mode — materialising every rewrite completely — which is
+// the cost baseline of experiment E5 and must rank byte-identically to
+// incremental mode. The correctness oracle both modes are tested against
+// is internal/reference, a nested-loop evaluator with none of the
+// kernel's machinery, imported only by tests.
 package topk
 
 import (
@@ -60,40 +65,6 @@ type Options struct {
 	// pattern matcher.
 	UniformConf bool
 	NoNormalize bool
-	// NoPlan disables join planning entirely: match lists are built
-	// and joined in query-text pattern order. It is the naive cost
-	// baseline for planner measurements — note it is *below* the
-	// pre-planner behaviour, which already sorted the join order by
-	// exact list length after building every list. Answers are
-	// identical either way.
-	NoPlan bool
-	// NoHashJoin disables the hash-indexed join kernel: candidate
-	// enumeration falls back to scanning every entry of every match
-	// list, joined in exact-list-length order, and the semi-join
-	// reduction pass is skipped — the kernel as it was before hash
-	// indexing. Answers are identical either way; it is the cost
-	// baseline for kernel measurements.
-	NoHashJoin bool
-	// NoSemiJoin keeps hash-index probing but skips the semi-join
-	// reduction pass, isolating the two effects for ablations. Answers
-	// are identical either way.
-	NoSemiJoin bool
-	// NoBlockJoin disables the block-at-a-time join kernel: candidates
-	// are enumerated tuple-at-a-time by the backtracking join (still
-	// over hash buckets and slot-resolved bindings) — the kernel shape
-	// as of the parallel-scheduler work, the ablation baseline for the
-	// block-kernel measurements. Answers are byte-identical either way.
-	// NoHashJoin implies the tuple path: the block kernel exists to
-	// batch hash-bucket probes, so there is nothing to batch without
-	// them.
-	NoBlockJoin bool
-	// NoTokenIndex disables inverted-index token resolution in the
-	// pattern matcher: token slots are matched by scanning the wildcard
-	// permutation range and similarity-testing every triple — list
-	// building as it was before token resolution. Match lists and
-	// answers are byte-identical either way; it is the cost baseline for
-	// list-building measurements.
-	NoTokenIndex bool
 	// Parallelism is the default number of scheduler workers a Run may
 	// use to evaluate a query's rewrites concurrently (overridable per
 	// call via RunConfig.Parallelism). 0 and 1 keep the serial schedule;
@@ -176,12 +147,11 @@ type SharedBound interface {
 	Load() float64
 }
 
-// cancelCheckInterval is how many join branches may run between two
-// polls of the context's done channel. A cancelled Run returns within
-// one interval (or at the next rewrite boundary, whichever comes
-// first). 256 keeps the poll off the hot path — one channel select per
-// 256 branches — while bounding the cancellation latency to well under
-// a millisecond of join work.
+// cancelCheckInterval is how many join rows may be emitted between two
+// polls of the context's done channel. The join kernel charges whole
+// blocks at block boundaries, so a cancelled Run returns within one
+// interval plus one block (or at the next rewrite boundary, whichever
+// comes first) — well under a millisecond of join work.
 const cancelCheckInterval = 256
 
 // Answer is one ranked result: a binding of the query's projected
@@ -207,7 +177,7 @@ type Derivation struct {
 	// PatternProbs holds the per-pattern emission probabilities.
 	PatternProbs []float64
 	// Plan holds the pattern indices in the join order the planner
-	// chose (nil means query-text order). Shared, read-only.
+	// chose. Shared, read-only.
 	Plan []int
 }
 
@@ -253,24 +223,23 @@ type Metrics struct {
 	// across rewrites and queries do not re-count (mirroring
 	// IndexScanned and PatternsMatched).
 	SemiJoinDropped int
-	// BlocksEmitted counts join-frontier blocks the block-at-a-time
-	// kernel handed from one join depth to the next (the final depth's
-	// blocks go to answer materialisation). Zero when the block kernel
-	// is disabled.
+	// BlocksEmitted counts join-frontier blocks the join kernel handed
+	// from one join depth to the next (the final depth's blocks go to
+	// answer materialisation), single-pattern rewrites included.
 	BlocksEmitted int
-	// BlockRowsFiltered counts candidate rows the block kernel cut with
-	// its block-level score-bound filter before materialising them —
-	// the batched counterpart of the tuple kernel's per-branch cut
-	// (each cut is also one PrunedBranches event).
+	// BlockRowsFiltered counts candidate rows the join kernel cut with
+	// its score bound before extending them: every cut drops the whole
+	// tail of a candidate column at once and counts as one
+	// PrunedBranches event, the rows it drops count here.
 	BlockRowsFiltered int
 	// TokenResolutions counts token slots resolved through the inverted
 	// token index while building match lists (cache hits across rewrites
 	// do not count, mirroring IndexScanned).
 	TokenResolutions int
 	// ScanFallbacks counts token-slot patterns whose lists were built by
-	// the legacy wildcard scan instead of token resolution — always, under
-	// NoTokenIndex, and otherwise only when the candidate cross-product
-	// exceeded the matcher's cutoff or scanning was provably cheaper.
+	// the wildcard scan instead of token resolution: the candidate
+	// cross-product exceeded the matcher's cutoff, scanning was provably
+	// cheaper, or MinTokenSim <= 0 left the index unusable.
 	ScanFallbacks int
 	// CrossShardPrunes counts prune decisions (cut join branches and
 	// skipped rewrites) that fired only because of a remote bound
@@ -316,7 +285,7 @@ type RewriteTrace struct {
 	// stay 0).
 	PatternMatches []int
 	// Plan holds the pattern indices in the order the planner processed
-	// them (nil when the rewrite was not matched or planning is off).
+	// them (nil when the rewrite was not matched).
 	Plan []int
 	// SemiJoinKept holds the per-pattern number of match-list entries
 	// that survived the semi-join reduction pass, in pattern order (nil
@@ -412,7 +381,6 @@ func MatcherFor(st *store.Store, opts Options) *score.Matcher {
 	}
 	m.UniformConf = opts.UniformConf
 	m.NoNormalize = opts.NoNormalize
-	m.NoTokenIndex = opts.NoTokenIndex
 	return m
 }
 
@@ -532,11 +500,14 @@ func (ev *Executor) Run(ctx context.Context, q *query.Query, rewrites []relax.Re
 		}
 		if opts.Mode == Incremental && rw.Weight < st.threshold() {
 			// No later rewrite can contribute: weights descend, and the
-			// threshold stays 0 until k answers exist. The bound is
-			// strict so that rewrites able to *tie* the k-th score
-			// still run — ties are broken deterministically by binding
-			// key, so dropping a tied answer exhaustive mode would have
-			// kept could change the result set.
+			// threshold stays 0 until k answers exist. The skip is sound
+			// bit for bit: a score is fl(W·x) with x a product of
+			// probabilities, so x <= 1 and, multiplication being
+			// monotone, fl(W·x) <= fl(W·1) = W. The bound is strict so
+			// that rewrites able to *tie* the k-th score still run —
+			// ties are broken deterministically by binding key, so
+			// dropping a tied answer exhaustive mode would have kept
+			// could change the result set.
 			m.RewritesSkipped = len(rewrites) - ri
 			if st.crossShard(rw.Weight) {
 				// Only the remote bound proved the tail dominated.
@@ -579,8 +550,8 @@ type run struct {
 	// noTrace marks that trace entries are throwaways, so evalRewrite
 	// skips the defensive copies of its scratch slices into them.
 	noTrace bool
-	// branchTick counts join branches since the last poll of done;
-	// checkCancel polls every cancelCheckInterval ticks.
+	// branchTick counts join rows since the last poll of done;
+	// pollCancelEvery polls every cancelCheckInterval ticks.
 	branchTick int
 	canceled   bool
 	// m points at the Metrics this run accumulates into (the serial
@@ -606,18 +577,17 @@ type run struct {
 // run removes the bulk of the per-rewrite allocations (visible with
 // -benchmem on the E5 benchmarks).
 type evalScratch struct {
-	textOrder []int
-	lists     []*patternList
-	sizes     []int
-	order     []int
-	suffix    []float64
-	// vals is the tuple kernel's binding array, indexed by varPlan slot;
-	// rdf.NoTerm marks an unbound slot. addedSlots[depth] records the
-	// slots a depth bound, for O(1) rollback on backtrack.
-	vals       []rdf.TermID
-	addedSlots [][]int32
-	triples    []store.ID
-	probs      []float64
+	lists []*patternList
+	sizes []int
+	order []int
+	// heads[d] is the head (best surviving) probability of the pattern
+	// at join depth d — the per-depth factors of the score bound.
+	heads []float64
+	// vals is the binding array a complete row is gathered into,
+	// indexed by varPlan slot; rdf.NoTerm marks an unbound slot.
+	vals    []rdf.TermID
+	triples []store.ID
+	probs   []float64
 	// projSlots/fLHS/fRHS are the rewrite's projection and filter
 	// variables resolved to slots (see evalRewrite).
 	projSlots []int32
@@ -674,15 +644,9 @@ func (r *run) pollCancel() bool {
 	return r.canceled
 }
 
-// checkCancel is the tuple join loop's cancellation gate: one unit of
-// work per branch against the polling interval.
-func (r *run) checkCancel() bool {
-	return r.pollCancelEvery(1)
-}
-
 // pollCancelEvery accounts n units of work against the cancellation
 // interval and polls the done channel once the budget is spent, keeping
-// the common case a counter add. The block kernel charges a whole
+// the common case a counter add. The join kernel charges a whole
 // emitted block at its boundary (n = the block's row count) instead of
 // ticking inside the inner loop; blocks are capped at maxBlockRows, so
 // cancellation latency stays bounded by a few blocks of join work.
@@ -935,8 +899,8 @@ func (s *state) swap(i, j int) {
 }
 
 // AnswerKey appends the canonical ranking key of an answer's bindings
-// over the projected variables to buf — the exact key both join kernels
-// feed the top-k state, exported so a coordinator merging rankings from
+// over the projected variables to buf — the exact key the join kernel
+// feeds the top-k state, exported so a coordinator merging rankings from
 // several executors breaks score ties precisely like a single run.
 func AnswerKey(buf []byte, b map[string]rdf.TermID, proj []string) []byte {
 	return appendAnswerKey(buf, b, proj)
@@ -954,13 +918,13 @@ func appendAnswerKey(buf []byte, b map[string]rdf.TermID, proj []string) []byte 
 	return buf
 }
 
-// joinEnv bundles the per-rewrite inputs both join kernels consume —
+// joinEnv bundles the per-rewrite inputs the join kernel consumes —
 // the rewrite, its slot plan, match lists, join order, semi-join
-// survivor masks, suffix bounds and the shared top-k state — plus the
-// two counters the kernels advance: seq, the canonical enumeration
-// number of complete bindings (the tie-break identity of answerEntry),
-// and answers, the writes that landed, for the trace. One env lives in
-// the run's scratch and is rebuilt per rewrite.
+// survivor masks, per-depth head probabilities and the shared top-k
+// state — plus the two counters the kernel advances: seq, the canonical
+// enumeration number of complete bindings (the tie-break identity of
+// answerEntry), and answers, the writes that landed, for the trace. One
+// env lives in the run's scratch and is rebuilt per rewrite.
 type joinEnv struct {
 	rw        relax.Rewrite
 	ri        int
@@ -974,7 +938,7 @@ type joinEnv struct {
 	lists     []*patternList
 	order     []int
 	alive     [][]bool
-	suffix    []float64
+	heads     []float64
 	state     *state
 	m         *Metrics
 	planFn    func(order []int) []int
@@ -991,14 +955,13 @@ type joinEnv struct {
 // rewrites; anything that outlives the call — trace slices, answer
 // bindings and derivations — is copied out, and only when retained.
 //
-// Join execution is block-at-a-time by default (blockJoin, block.go):
-// the in-flight frontier is a batch of prefix bindings in columnar form,
-// extended a whole block per depth. With NoBlockJoin — or NoHashJoin,
-// which removes the buckets the block kernel batches — the
-// tuple-at-a-time backtracking kernel (tupleRec) runs instead. Both
-// kernels bind variables in flat slot-indexed arrays resolved by the
-// rewrite's varPlan and converge in recordBinding, so answers, keys and
-// derivation identity are kernel-independent.
+// Every rewrite, single-pattern ones included, takes the same path: the
+// planner orders the list builds by estimated selectivity, the join
+// order is refined by exact list length and connectivity, the semi-join
+// pass reduces the lists, and the block-at-a-time kernel (blockJoin,
+// block.go) enumerates the bindings over hash buckets, extending a
+// columnar frontier a whole block per depth and converging in
+// recordBinding.
 func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m *Metrics, rt *RewriteTrace) {
 	ev := r.Executor
 	sc := &r.sc
@@ -1016,7 +979,7 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 	}
 
 	// Resolve this pattern set's variables to dense slots (memoised per
-	// run): the kernels bind variables by slot index, and the projection
+	// run): the kernel binds variables by slot index, and the projection
 	// and filter variables resolve once, here, instead of per branch.
 	vp := r.varPlanFor(pats)
 
@@ -1033,7 +996,7 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 
 	// Filter operands: the variable's slot, or -1 for a constant RHS and
 	// -2 for a variable the rewrite does not bind (which resolves to the
-	// invalid term, exactly like the map-based kernel's zero lookup).
+	// invalid term, like a zero-value map lookup).
 	filters := rw.Query.Filters
 	sc.fLHS = scratchSlice(sc.fLHS, len(filters))
 	sc.fRHS = scratchSlice(sc.fRHS, len(filters))
@@ -1051,29 +1014,16 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 
 	// Plan: build match lists in ascending estimated selectivity, so an
 	// empty pattern aborts the rewrite before its siblings' lists are
-	// materialised. NoPlan keeps query-text order as the baseline.
-	var buildOrder []int
-	if r.opts.NoPlan {
-		sc.textOrder = scratchSlice(sc.textOrder, n)
-		for i := range sc.textOrder {
-			sc.textOrder[i] = i
-		}
-		buildOrder = sc.textOrder
-	} else {
-		buildOrder, _ = ev.planWith(pats, r.patKey)
-	}
+	// materialised.
+	buildOrder := ev.plan(pats, r.patKey)
 
 	// tracePlan is what surfaces in RewriteTrace.Plan and
-	// Derivation.Plan: nil with planning off (query-text order),
-	// otherwise one stable copy per rewrite, materialised lazily the
-	// first time something retains it. Every call within one rewrite
+	// Derivation.Plan: one stable copy per rewrite, materialised lazily
+	// the first time something retains it. Every call within one rewrite
 	// passes the same order slice (aborts before the join-order
 	// refinement return immediately), so one memo is enough.
 	var planCopy []int
 	tracePlan := func(order []int) []int {
-		if r.opts.NoPlan {
-			return nil
-		}
 		if planCopy == nil {
 			planCopy = append([]int(nil), order...)
 		}
@@ -1127,30 +1077,26 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 
 	// Join order: the planner's estimate order, refined by the exact
 	// list lengths now known (stable, so equal lengths keep the planned
-	// order), then — for the hash kernel — reordered so every pattern
-	// shares a variable with the already-joined prefix where the pattern
-	// graph allows it (the adjacency comes pre-resolved from the
-	// varPlan). NoPlan joins in query-text order.
-	order := buildOrder
-	if !r.opts.NoPlan {
-		sc.order = append(sc.order[:0], buildOrder...)
-		order = sc.order
-		sort.SliceStable(order, func(a, b int) bool {
-			return len(lists[order[a]].matches) < len(lists[order[b]].matches)
-		})
-		if !r.opts.NoHashJoin && n > 2 {
-			sc.joinOut = scratchSlice(sc.joinOut, n)
-			sc.joinUsed = scratchSlice(sc.joinUsed, n)
-			sc.joinBound = scratchSlice(sc.joinBound, len(vp.names))
-			for i := range sc.joinUsed {
-				sc.joinUsed[i] = false
-			}
-			for i := range sc.joinBound {
-				sc.joinBound[i] = false
-			}
-			order = vp.joinOrderInto(order, sc.joinOut, sc.joinUsed, sc.joinBound)
-			sc.joinOut = order
+	// order), then reordered so every pattern shares a variable with the
+	// already-joined prefix where the pattern graph allows it (the
+	// adjacency comes pre-resolved from the varPlan).
+	sc.order = append(sc.order[:0], buildOrder...)
+	order := sc.order
+	sort.SliceStable(order, func(a, b int) bool {
+		return len(lists[order[a]].matches) < len(lists[order[b]].matches)
+	})
+	if n > 2 {
+		sc.joinOut = scratchSlice(sc.joinOut, n)
+		sc.joinUsed = scratchSlice(sc.joinUsed, n)
+		sc.joinBound = scratchSlice(sc.joinBound, len(vp.names))
+		for i := range sc.joinUsed {
+			sc.joinUsed[i] = false
 		}
+		for i := range sc.joinBound {
+			sc.joinBound[i] = false
+		}
+		order = vp.joinOrderInto(order, sc.joinOut, sc.joinUsed, sc.joinBound)
+		sc.joinOut = order
 	}
 
 	// Semi-join reduction: prune entries with no join partner in some
@@ -1158,10 +1104,11 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 	// the rewrite can produce no complete binding. The reduction is a
 	// pure function of the (immutable, cached) lists, so its result is
 	// fetched from the cache's side map and computed once per pattern
-	// set, not once per rewrite evaluation.
+	// set, not once per rewrite evaluation. A single pattern has no
+	// neighbour to reduce against.
 	var alive [][]bool
 	var semiHead []float64
-	if !r.opts.NoHashJoin && !r.opts.NoSemiJoin && n > 1 {
+	if n > 1 {
 		if r.pollCancel() {
 			return
 		}
@@ -1182,19 +1129,16 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 		}
 	}
 
-	// suffixBound[i] = product of head probabilities of patterns i..n-1
-	// in join order: the best possible completion of a partial join.
-	// After semi-join reduction the head is the best *surviving* entry,
-	// still an upper bound on any completion.
-	sc.suffix = scratchSlice(sc.suffix, n+1)
-	suffixBound := sc.suffix
-	suffixBound[n] = 1
-	for i := n - 1; i >= 0; i-- {
-		h := lists[order[i]].matches[0].Prob
+	// heads[d] = head probability of the pattern at join depth d: the
+	// best factor any completion can draw from that depth. After
+	// semi-join reduction the head is the best *surviving* entry, still
+	// an upper bound on any completion.
+	sc.heads = scratchSlice(sc.heads, n)
+	for d, pi := range order {
+		sc.heads[d] = lists[pi].matches[0].Prob
 		if semiHead != nil {
-			h = semiHead[order[i]]
+			sc.heads[d] = semiHead[pi]
 		}
-		suffixBound[i] = suffixBound[i+1] * h
 	}
 
 	e := &sc.env
@@ -1211,130 +1155,23 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 		lists:     lists,
 		order:     order,
 		alive:     alive,
-		suffix:    suffixBound,
+		heads:     sc.heads,
 		state:     st,
 		m:         m,
 		planFn:    tracePlan,
 	}
 	sc.vals = scratchSlice(sc.vals, len(vp.names))
-	for i := range sc.vals {
-		sc.vals[i] = rdf.NoTerm
-	}
 	sc.triples = scratchSlice(sc.triples, n)
 	sc.probs = scratchSlice(sc.probs, n)
-	// Block-at-a-time execution is for joins: a single-pattern rewrite
-	// has no frontier to batch (the "frontier" is one unbound seed row),
-	// so it takes the plain bounded list scan of the tuple kernel.
-	if !r.opts.NoHashJoin && !r.opts.NoBlockJoin && n > 1 {
-		r.blockJoin(e)
-	} else {
-		sc.addedSlots = scratchSlice(sc.addedSlots, n)
-		r.tupleRec(e, 0, 1)
-	}
+	r.blockJoin(e)
 	setTrace("evaluated", order)
 	rt.Answers = e.answers
 }
 
-// tupleRec is the tuple-at-a-time join: the original backtracking
-// enumeration, over slot-indexed bindings in sc.vals. depth indexes
-// e.order; partial is the running probability of the bound prefix.
-func (r *run) tupleRec(e *joinEnv, depth int, partial float64) {
-	sc := &r.sc
-	if depth == e.n {
-		if !r.passFilters(e, sc.vals) {
-			return
-		}
-		r.recordBinding(e, e.rw.Weight*partial, sc.vals, sc.triples, sc.probs)
-		return
-	}
-	pi := e.order[depth]
-	pl := e.lists[pi]
-	slots := e.vp.pats[pi]
-	// Candidate enumeration: when a variable of this pattern is already
-	// bound by the prefix, probe its hash bucket — the smallest one, if
-	// several variables are bound — instead of scanning the whole list.
-	// Buckets hold positions in list order (descending probability), so
-	// the score-bound pruning below behaves exactly as it would mid-scan.
-	var cand []int32
-	probe := false
-	if !r.opts.NoHashJoin {
-		for vi := range slots {
-			if t := sc.vals[slots[vi]]; t != rdf.NoTerm {
-				b := pl.buckets[vi][t]
-				if !probe || len(b) < len(cand) {
-					cand, probe = b, true
-				}
-			}
-		}
-	}
-	limit := len(pl.matches)
-	if probe {
-		e.m.HashProbes++
-		limit = len(cand)
-	}
-	for ci := 0; ci < limit; ci++ {
-		if r.checkCancel() {
-			return
-		}
-		p := ci
-		if probe {
-			p = int(cand[ci])
-		}
-		if e.alive != nil && e.alive[pi] != nil && !e.alive[pi][p] {
-			continue
-		}
-		match := &pl.matches[p]
-		// Reading the next entry of the score-sorted list is one
-		// sorted access.
-		e.m.SortedAccesses++
-		if r.opts.Mode == Incremental {
-			bound := e.rw.Weight * partial * match.Prob * e.suffix[depth+1]
-			if bound < e.state.threshold() {
-				// The threshold is 0 until k answers exist, so this
-				// never fires early. Matches are sorted by descending
-				// probability: all remaining are worse. Strictly worse
-				// only — a branch that can still tie the k-th score
-				// must run so the deterministic tie-break over the full
-				// tied set matches exhaustive mode byte for byte.
-				e.m.PrunedBranches++
-				if e.state.crossShard(bound) {
-					e.m.CrossShardPrunes++
-				}
-				break
-			}
-		}
-		e.m.JoinBranches++
-		// Check binding consistency against the prefix and extend.
-		added := sc.addedSlots[depth][:0]
-		ok := true
-		for bi, s := range slots {
-			term := match.Bindings[bi].Term
-			if cur := sc.vals[s]; cur != rdf.NoTerm {
-				if cur != term {
-					ok = false
-					break
-				}
-			} else {
-				sc.vals[s] = term
-				added = append(added, s)
-			}
-		}
-		if ok {
-			sc.triples[pi] = match.Triple
-			sc.probs[pi] = match.Prob
-			r.tupleRec(e, depth+1, partial*match.Prob)
-		}
-		for _, s := range added {
-			sc.vals[s] = rdf.NoTerm
-		}
-		sc.addedSlots[depth] = added[:0]
-	}
-}
-
 // passFilters applies the rewrite's FILTER constraints to a complete
 // binding. vals is indexed by slot; operand slots below zero resolve to
-// the invalid term, matching the map-based kernel's zero-value lookup
-// for variables the rewrite does not bind.
+// the invalid term, like a zero-value map lookup of a variable the
+// rewrite does not bind.
 func (r *run) passFilters(e *joinEnv, vals []rdf.TermID) bool {
 	for i, f := range e.filters {
 		var lt rdf.TermID
@@ -1360,8 +1197,7 @@ func (r *run) passFilters(e *joinEnv, vals []rdf.TermID) bool {
 // applied): it assigns the binding's canonical sequence number, renders
 // the answer key over the projected slots and offers the answer to the
 // top-k state. vals is indexed by slot, triples and probs by pattern
-// index. Both kernels converge here, so keys, scores, derivations and
-// tie-break identity are kernel-independent by construction.
+// index.
 func (r *run) recordBinding(e *joinEnv, total float64, vals []rdf.TermID, triples []store.ID, probs []float64) {
 	sc := &r.sc
 	e.seq++

@@ -1,15 +1,15 @@
 package trinit
 
-// Differential tests for the hash-indexed join kernel: every kernel
-// configuration — legacy full scans, hash probing, hash probing plus
-// semi-join reduction, with and without planning — must produce answers
-// identical to the Exhaustive baseline across the full example workloads,
-// and concurrent executors sharing the cached hash indexes must agree
-// with a serial run (exercised under -race in CI).
+// Differential tests for the join kernel: in both processing modes and
+// on serial and parallel schedules the kernel must rank like the
+// reference evaluator across the full example workload, incremental
+// must be byte-identical to exhaustive, and concurrent executors sharing
+// the cached hash indexes must agree with a serial run (exercised under
+// -race in CI).
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -41,56 +41,19 @@ func renderAnswers(st *store.Store, answers []topk.Answer) string {
 }
 
 // TestKernelDifferentialOnFullWorkload runs the complete synthetic
-// workload through every kernel configuration and checks the answers
-// against the Exhaustive oracle.
+// workload through the kernel in both modes at P in {1, 4} and checks
+// every ranking against the reference evaluator.
 func TestKernelDifferentialOnFullWorkload(t *testing.T) {
-	inst := fullInstance()
-	workload := world().Workload(70)
-	// Scores are compared with a 1e-12 tolerance: configurations with
-	// different join orders multiply the same per-pattern probabilities
-	// in a different order, which can differ in the last ulp. Bindings
-	// must agree exactly. (Byte-identical equality between incremental
-	// and exhaustive under the same kernel is pinned separately in
-	// TestIncrementalByteIdenticalToExhaustive.)
-	configs := []struct {
-		name string
-		opts topk.Options
-	}{
-		{"exhaustive+hash+semijoin", topk.Options{K: 10, Mode: topk.Exhaustive}},
-		{"incremental+hash+semijoin", topk.Options{K: 10, Mode: topk.Incremental}},
-		{"incremental+hash", topk.Options{K: 10, Mode: topk.Incremental, NoSemiJoin: true}},
-		{"incremental+tuple", topk.Options{K: 10, Mode: topk.Incremental, NoBlockJoin: true}},
-		{"exhaustive+tuple", topk.Options{K: 10, Mode: topk.Exhaustive, NoBlockJoin: true}},
-		{"incremental+legacy", topk.Options{K: 10, Mode: topk.Incremental, NoHashJoin: true}},
-		{"incremental+noplan", topk.Options{K: 10, Mode: topk.Incremental, NoPlan: true}},
-		{"incremental+notokenindex", topk.Options{K: 10, Mode: topk.Incremental, NoTokenIndex: true}},
-		{"exhaustive+notokenindex", topk.Options{K: 10, Mode: topk.Exhaustive, NoTokenIndex: true}},
-	}
-	for _, wq := range workload {
-		q, err := query.Parse(wq.Text)
-		if err != nil {
-			t.Fatalf("%s: %v", wq.ID, err)
-		}
-		q.Projection = q.ProjectedVars()
-		rewrites := relax.NewExpander(inst.Rules).Expand(q)
-		oracle, _ := topk.New(inst.Store, topk.Options{K: 10, Mode: topk.Exhaustive, NoHashJoin: true}).Evaluate(q, rewrites)
-		for _, cfg := range configs {
-			got, _ := topk.New(inst.Store, cfg.opts).Evaluate(q, rewrites)
-			if len(got) != len(oracle) {
-				t.Fatalf("%s [%s]: %d answers, oracle %d", wq.ID, cfg.name, len(got), len(oracle))
-			}
-			for i := range got {
-				if math.Abs(got[i].Score-oracle[i].Score) > 1e-12 {
-					t.Fatalf("%s [%s]: answer %d score %v, oracle %v", wq.ID, cfg.name, i, got[i].Score, oracle[i].Score)
+	cases := workloadCases(t, world().Workload(70))
+	for _, km := range kernelModes {
+		ev := topk.New(fullInstance().Store, topk.Options{K: 10, Mode: km.mode})
+		for _, c := range cases {
+			for _, p := range []int{1, 4} {
+				got, _, err := ev.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{Parallelism: p})
+				if err != nil {
+					t.Fatalf("%s [%s P=%d]: %v", c.id, km.name, p, err)
 				}
-				if len(got[i].Bindings) != len(oracle[i].Bindings) {
-					t.Fatalf("%s [%s]: answer %d has %d bindings, oracle %d", wq.ID, cfg.name, i, len(got[i].Bindings), len(oracle[i].Bindings))
-				}
-				for v, id := range got[i].Bindings {
-					if oracle[i].Bindings[v] != id {
-						t.Fatalf("%s [%s]: answer %d binding %s differs", wq.ID, cfg.name, i, v)
-					}
-				}
+				c.check(t, fmt.Sprintf("[%s P=%d]", km.name, p), got)
 			}
 		}
 	}

@@ -4,10 +4,11 @@ package trinit
 //
 //   - TestMmapDifferential is the acceptance gate: the full 70-query
 //     synthetic workload through an engine served zero-copy from a
-//     mapped v2 segment must be byte-identical — answers, explanations,
-//     suggestions, notices — to the eagerly decoded engine AND to the
-//     never-persisted oracle, across kernel configurations and
-//     parallelism settings;
+//     mapped v2 segment and through the eagerly decoded engine must
+//     each rank like the reference evaluator, and the mapped engine must
+//     be byte-identical — answers, explanations, suggestions, notices —
+//     to the eager one AND to the never-persisted oracle, in both
+//     processing modes and at P in {1, 4};
 //   - mapped engines survive concurrent queries (executor pools, shared
 //     caches) without data races over the shared column views;
 //   - a mapped engine reports its residency through MemoryStats.
@@ -18,6 +19,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"trinit/internal/topk"
 )
 
 // loadSnapshotEngine loads the shared synthetic snapshot with the given
@@ -48,23 +51,16 @@ func requireMapped(t *testing.T, e *Engine) {
 func TestMmapDifferential(t *testing.T) {
 	oracle, queries := syntheticWorkload(t)
 	snap := synthSeedSnapshot(t)
-
-	configs := []struct {
-		name string
-		tune func(o *Options)
-	}{
-		{"incremental", func(o *Options) {}},
-		{"exhaustive", func(o *Options) { o.Exhaustive = true }},
-		{"tuple-kernel", func(o *Options) { o.NoBlockJoin = true }},
-		{"legacy-join", func(o *Options) { o.NoHashJoin = true }},
-		{"no-token-index", func(o *Options) { o.NoTokenIndex = true }},
+	refs := make([]engineRef, len(queries))
+	for i, wq := range queries {
+		refs[i] = engineReference(t, oracle, wq.Text)
 	}
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
+
+	for _, km := range kernelModes {
+		exhaustive := km.mode == topk.Exhaustive
+		t.Run(km.name, func(t *testing.T) {
 			mkOpts := func(noMap bool) *Options {
-				o := &Options{NoMapSegments: noMap}
-				cfg.tune(o)
-				return o
+				return &Options{NoMapSegments: noMap, Exhaustive: exhaustive}
 			}
 			eager := loadSnapshotEngine(t, snap, mkOpts(true))
 			if eager.MemoryStats().Mapped {
@@ -73,7 +69,7 @@ func TestMmapDifferential(t *testing.T) {
 			mapped := loadSnapshotEngine(t, snap, mkOpts(false))
 			requireMapped(t, mapped)
 
-			for _, wq := range queries {
+			for qi, wq := range queries {
 				for _, p := range []int{1, 4} {
 					var opts []QueryOption
 					if p > 1 {
@@ -87,10 +83,12 @@ func TestMmapDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s P=%d mapped: %v", wq.ID, p, err)
 					}
+					refs[qi].check(t, fmt.Sprintf("eager P=%d", p), want)
+					refs[qi].check(t, fmt.Sprintf("mapped P=%d", p), got)
 					if a, b := renderMmap(t, got), renderMmap(t, want); a != b {
 						t.Fatalf("%s P=%d: mapped result differs from eager\n mapped: %s\n eager:  %s", wq.ID, p, a, b)
 					}
-					if cfg.name == "incremental" && p == 1 {
+					if !exhaustive && p == 1 {
 						// The never-persisted oracle closes the loop: disk
 						// round-trip plus mapping loses nothing.
 						ores, err := oracle.QueryContext(context.Background(), wq.Text)

@@ -3,9 +3,10 @@ package trinit
 // Parallel rewrite-scheduler contract at the repo level, run with -race:
 //
 //   - the acceptance differential: on the full 70-query synthetic
-//     workload, across every kernel configuration, parallel execution
-//     (P in {1, 2, 4, 8}) returns answers byte-identical to the serial
-//     schedule — bindings, scores, derivations, plans and all;
+//     workload, in both processing modes, every schedule (serial and
+//     P in {1, 2, 4, 8}) ranks like the reference evaluator, and the
+//     parallel schedules return answers byte-identical to the serial
+//     one — bindings, scores, derivations, plans and all;
 //   - pool x pool: concurrent *queries* each running with internal
 //     parallelism > 1 against one engine return the serial baseline's
 //     answers;
@@ -23,61 +24,38 @@ import (
 	"testing"
 	"time"
 
-	"trinit/internal/query"
-	"trinit/internal/relax"
 	"trinit/internal/topk"
 )
 
 // TestParallelByteIdenticalToSerial is the acceptance differential: the
-// complete synthetic workload through every kernel configuration, the
-// serial schedule against parallelism 1, 2, 4 and 8. reflect.DeepEqual
-// over the full []topk.Answer pins bindings, exact scores, and the
-// stored derivation (triples, probabilities, plan, rewrite) — the
-// canonical-derivation tie-break must make even equal-scoring
-// derivation choices identical.
+// complete synthetic workload in both modes, the serial schedule and
+// parallelism 1, 2, 4 and 8, each checked against the reference
+// evaluator. reflect.DeepEqual of every width against serial over the
+// full []topk.Answer then pins bindings, exact scores, and the stored
+// derivation (triples, probabilities, plan, rewrite) — the
+// canonical-derivation tie-break must make even equal-scoring derivation
+// choices identical.
 func TestParallelByteIdenticalToSerial(t *testing.T) {
-	inst := fullInstance()
-	workload := world().Workload(70)
-	configs := []struct {
-		name string
-		opts topk.Options
-	}{
-		{"exhaustive+hash+semijoin", topk.Options{K: 10, Mode: topk.Exhaustive}},
-		{"incremental+hash+semijoin", topk.Options{K: 10, Mode: topk.Incremental}},
-		{"incremental+hash", topk.Options{K: 10, Mode: topk.Incremental, NoSemiJoin: true}},
-		{"incremental+tuple", topk.Options{K: 10, Mode: topk.Incremental, NoBlockJoin: true}},
-		{"exhaustive+tuple", topk.Options{K: 10, Mode: topk.Exhaustive, NoBlockJoin: true}},
-		{"incremental+legacy", topk.Options{K: 10, Mode: topk.Incremental, NoHashJoin: true}},
-		{"incremental+noplan", topk.Options{K: 10, Mode: topk.Incremental, NoPlan: true}},
-		{"incremental+notokenindex", topk.Options{K: 10, Mode: topk.Incremental, NoTokenIndex: true}},
-		{"exhaustive+notokenindex", topk.Options{K: 10, Mode: topk.Exhaustive, NoTokenIndex: true}},
-	}
-	// One warmed evaluator per configuration: every width probes the
-	// same shared cache, as pooled executors do in the engine.
-	evs := make([]*topk.Evaluator, len(configs))
-	for i, cfg := range configs {
-		evs[i] = topk.New(inst.Store, cfg.opts)
-	}
-	for _, wq := range workload {
-		q, err := query.Parse(wq.Text)
-		if err != nil {
-			t.Fatalf("%s: %v", wq.ID, err)
-		}
-		q.Projection = q.ProjectedVars()
-		rewrites := relax.NewExpander(inst.Rules).Expand(q)
-		for ci, cfg := range configs {
-			serial, _, err := evs[ci].Run(context.Background(), q, rewrites, topk.RunConfig{})
+	cases := workloadCases(t, world().Workload(70))
+	for _, km := range kernelModes {
+		// One warmed evaluator per mode: every width probes the same
+		// shared cache, as pooled executors do in the engine.
+		ev := topk.New(fullInstance().Store, topk.Options{K: 10, Mode: km.mode})
+		for _, c := range cases {
+			serial, _, err := ev.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{})
 			if err != nil {
-				t.Fatalf("%s [%s]: %v", wq.ID, cfg.name, err)
+				t.Fatalf("%s [%s]: %v", c.id, km.name, err)
 			}
+			c.check(t, "["+km.name+" serial]", serial)
 			for _, p := range []int{1, 2, 4, 8} {
-				got, _, err := evs[ci].Run(context.Background(), q, rewrites, topk.RunConfig{Parallelism: p})
+				got, _, err := ev.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{Parallelism: p})
 				if err != nil {
-					t.Fatalf("%s [%s] P=%d: %v", wq.ID, cfg.name, p, err)
+					t.Fatalf("%s [%s] P=%d: %v", c.id, km.name, p, err)
 				}
+				c.check(t, fmt.Sprintf("[%s P=%d]", km.name, p), got)
 				if !reflect.DeepEqual(got, serial) {
 					t.Fatalf("%s [%s] P=%d: parallel answers differ from serial\n got:  %+v\n want: %+v",
-						wq.ID, cfg.name, p, got, serial)
+						c.id, km.name, p, got, serial)
 				}
 			}
 		}

@@ -3,23 +3,23 @@ package trinit
 // Sharded-execution contract at the repo level, run with -race:
 //
 //   - the acceptance differential: on the full 70-query synthetic
-//     workload, across every kernel configuration, a sharded run
-//     (N in {1, 2, 3, 4} shards, per-shard parallelism P in {1, 4})
-//     merges to a ranking byte-identical to the unsharded oracle —
-//     bindings and exact score bits; at N=1 the whole answer set
-//     including derivations is reflect.DeepEqual to the oracle's;
+//     workload, in both processing modes, every sharded run (N in
+//     {1, 2, 3, 4} shards, per-shard parallelism P in {1, 4}) ranks like
+//     the reference evaluator, and merges to a ranking byte-identical to
+//     the unsharded serial run — bindings and exact score bits; at N=1
+//     the whole answer set including derivations is reflect.DeepEqual to
+//     the unsharded run's;
 //   - the bound exchange demonstrably works: across the incremental
-//     configurations at N >= 2 the BoundBroadcast counter is positive,
-//     i.e. shards really did exchange k-th-score bounds.
+//     runs at N >= 2 the BoundBroadcast counter is positive, i.e. shards
+//     really did exchange k-th-score bounds.
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
-	"trinit/internal/query"
-	"trinit/internal/relax"
 	"trinit/internal/shard"
 	"trinit/internal/topk"
 )
@@ -27,77 +27,52 @@ import (
 // sameRanking asserts got and want agree as rankings: same length, and
 // position by position the same binding maps and bit-identical scores.
 // Derivations are exempt — a shard's winning derivation legitimately
-// differs from the oracle's (local triple IDs, local plans) as long as
-// it achieves the exact same score.
+// differs from the unsharded one (local triple IDs, local plans) as long
+// as it achieves the exact same score.
 func sameRanking(t *testing.T, label string, got, want []topk.Answer) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d answers, oracle has %d", label, len(got), len(want))
+		t.Fatalf("%s: %d answers, unsharded run has %d", label, len(got), len(want))
 	}
 	for i := range got {
 		if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-			t.Fatalf("%s: answer %d score %v, oracle %v", label, i, got[i].Score, want[i].Score)
+			t.Fatalf("%s: answer %d score %v, unsharded %v", label, i, got[i].Score, want[i].Score)
 		}
 		if !reflect.DeepEqual(got[i].Bindings, want[i].Bindings) {
-			t.Fatalf("%s: answer %d bindings %v, oracle %v", label, i, got[i].Bindings, want[i].Bindings)
+			t.Fatalf("%s: answer %d bindings %v, unsharded %v", label, i, got[i].Bindings, want[i].Bindings)
 		}
 	}
 }
 
 // TestShardDifferential is the sharding acceptance differential (the CI
-// must-run gate): the complete synthetic workload through every kernel
-// configuration, the unsharded oracle against N in {1, 2, 3, 4} shards
-// with per-shard scheduler parallelism P in {1, 4}.
+// must-run gate): the complete synthetic workload in both modes, each
+// run of N in {1, 2, 3, 4} shards with per-shard scheduler parallelism
+// P in {1, 4} checked against the reference evaluator and against the
+// unsharded serial run.
 func TestShardDifferential(t *testing.T) {
 	inst := fullInstance()
-	workload := world().Workload(70)
-	configs := []struct {
-		name string
-		opts topk.Options
-	}{
-		{"exhaustive+hash+semijoin", topk.Options{K: 10, Mode: topk.Exhaustive}},
-		{"incremental+hash+semijoin", topk.Options{K: 10, Mode: topk.Incremental}},
-		{"incremental+hash", topk.Options{K: 10, Mode: topk.Incremental, NoSemiJoin: true}},
-		{"incremental+tuple", topk.Options{K: 10, Mode: topk.Incremental, NoBlockJoin: true}},
-		{"exhaustive+tuple", topk.Options{K: 10, Mode: topk.Exhaustive, NoBlockJoin: true}},
-		{"incremental+legacy", topk.Options{K: 10, Mode: topk.Incremental, NoHashJoin: true}},
-		{"incremental+noplan", topk.Options{K: 10, Mode: topk.Incremental, NoPlan: true}},
-		{"incremental+notokenindex", topk.Options{K: 10, Mode: topk.Incremental, NoTokenIndex: true}},
-		{"exhaustive+notokenindex", topk.Options{K: 10, Mode: topk.Exhaustive, NoTokenIndex: true}},
-	}
+	cases := workloadCases(t, world().Workload(70))
 
-	// Parse and expand once per query; the rewrite lists are shared
-	// read-only by the oracle and every sharded run.
-	queries := make([]*query.Query, len(workload))
-	rewrites := make([][]relax.Rewrite, len(workload))
-	for qi, wq := range workload {
-		q, err := query.Parse(wq.Text)
-		if err != nil {
-			t.Fatalf("%s: %v", wq.ID, err)
-		}
-		q.Projection = q.ProjectedVars()
-		queries[qi] = q
-		rewrites[qi] = relax.NewExpander(inst.Rules).Expand(q)
-	}
-
-	// Oracle answers once per (config, query), from a warmed evaluator.
-	oracle := make([][][]topk.Answer, len(configs))
-	for ci, cfg := range configs {
-		ev := topk.New(inst.Store, cfg.opts)
-		oracle[ci] = make([][]topk.Answer, len(workload))
-		for qi := range workload {
-			ans, _, err := ev.Run(context.Background(), queries[qi], rewrites[qi], topk.RunConfig{})
+	// Unsharded answers once per (mode, query), from a warmed evaluator,
+	// themselves checked against the reference.
+	unsharded := make([][][]topk.Answer, len(kernelModes))
+	for mi, km := range kernelModes {
+		ev := topk.New(inst.Store, topk.Options{K: 10, Mode: km.mode})
+		unsharded[mi] = make([][]topk.Answer, len(cases))
+		for qi, c := range cases {
+			ans, _, err := ev.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{})
 			if err != nil {
-				t.Fatalf("oracle %s [%s]: %v", workload[qi].ID, cfg.name, err)
+				t.Fatalf("unsharded %s [%s]: %v", c.id, km.name, err)
 			}
-			oracle[ci][qi] = ans
+			c.check(t, "[unsharded "+km.name+"]", ans)
+			unsharded[mi][qi] = ans
 		}
 	}
 
 	var broadcasts, crossPrunes int64
 	for _, n := range []int{1, 2, 3, 4} {
-		// One partition per N (partitioning is kernel-independent), one
-		// group per configuration over it.
+		// One partition per N (partitioning is mode-independent), one
+		// group per mode over it.
 		stores, stats, err := shard.Partition(inst.Store, n, shard.PartitionOptions{})
 		if err != nil {
 			t.Fatalf("partition N=%d: %v", n, err)
@@ -105,27 +80,28 @@ func TestShardDifferential(t *testing.T) {
 		if n == 1 && stats.Triples[0] != inst.Store.Len() {
 			t.Fatalf("N=1 shard holds %d triples, source %d", stats.Triples[0], inst.Store.Len())
 		}
-		for ci, cfg := range configs {
-			g, err := shard.NewGroupFromStores(inst.Store, stores, stats.Replicated, cfg.opts)
+		for mi, km := range kernelModes {
+			g, err := shard.NewGroupFromStores(inst.Store, stores, stats.Replicated, topk.Options{K: 10, Mode: km.mode})
 			if err != nil {
-				t.Fatalf("group N=%d [%s]: %v", n, cfg.name, err)
+				t.Fatalf("group N=%d [%s]: %v", n, km.name, err)
 			}
-			for qi, wq := range workload {
+			for qi, c := range cases {
 				for _, p := range []int{1, 4} {
-					label := wq.ID + " [" + cfg.name + "]"
-					res, err := g.Run(context.Background(), queries[qi], rewrites[qi], topk.RunConfig{Parallelism: p})
+					label := fmt.Sprintf("%s [%s N=%d P=%d]", c.id, km.name, n, p)
+					res, err := g.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{Parallelism: p})
 					if err != nil {
-						t.Fatalf("%s N=%d P=%d: %v", label, n, p, err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					sameRanking(t, label, res.Answers, oracle[ci][qi])
-					if n == 1 && !reflect.DeepEqual(res.Answers, oracle[ci][qi]) {
-						t.Fatalf("%s N=1 P=%d: answers not fully identical to oracle (derivations included)\n got:  %+v\n want: %+v",
-							label, p, res.Answers, oracle[ci][qi])
+					c.check(t, fmt.Sprintf("[%s N=%d P=%d]", km.name, n, p), res.Answers)
+					sameRanking(t, label, res.Answers, unsharded[mi][qi])
+					if n == 1 && !reflect.DeepEqual(res.Answers, unsharded[mi][qi]) {
+						t.Fatalf("%s: answers not fully identical to the unsharded run (derivations included)\n got:  %+v\n want: %+v",
+							label, res.Answers, unsharded[mi][qi])
 					}
 					if len(res.Shards) != len(res.Answers) {
-						t.Fatalf("%s N=%d: %d shard attributions for %d answers", label, n, len(res.Shards), len(res.Answers))
+						t.Fatalf("%s: %d shard attributions for %d answers", label, len(res.Shards), len(res.Answers))
 					}
-					if n >= 2 && cfg.opts.Mode == topk.Incremental {
+					if n >= 2 && km.mode == topk.Incremental {
 						broadcasts += res.Broadcasts
 						crossPrunes += int64(res.Metrics.CrossShardPrunes)
 					}

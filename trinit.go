@@ -108,34 +108,6 @@ type Options struct {
 	// pattern entries (default 4096). Least-recently-used lists are
 	// evicted beyond the cap.
 	MatchCacheSize int
-	// NoPlanner disables join planning; match lists are built and
-	// joined in query-text pattern order (a naive baseline — even
-	// below the pre-planner engine, which sorted joins by exact list
-	// length). Answers are identical, work is not. Meant for
-	// baselines and testing.
-	NoPlanner bool
-	// NoHashJoin disables the hash-indexed join kernel: joins fall back
-	// to scanning every entry of every match list in exact-list-length
-	// order, without semi-join reduction (the pre-hash-join kernel).
-	// Answers are identical, work is not. Meant for baselines and
-	// testing.
-	NoHashJoin bool
-	// NoSemiJoin keeps hash-index probing but disables the semi-join
-	// reduction pass. Answers are identical, work is not. Meant for
-	// ablations.
-	NoSemiJoin bool
-	// NoBlockJoin disables block-at-a-time join execution: joins fall
-	// back to the tuple-at-a-time backtracking kernel (still
-	// hash-probed and semi-join-reduced unless those are also
-	// disabled). Answers are identical, work is not. Meant for
-	// ablations.
-	NoBlockJoin bool
-	// NoTokenIndex disables inverted-index token resolution in the
-	// pattern matcher: textual token slots fall back to scanning the
-	// wildcard permutation range and similarity-testing every triple
-	// (the pre-token-resolution list builder). Answers are identical,
-	// work is not. Meant for baselines and testing.
-	NoTokenIndex bool
 	// Parallelism is the default number of workers each query may use
 	// to evaluate its rewrite space concurrently (overridable per query
 	// with WithParallelism). 0 or 1 keeps the serial schedule — the
@@ -875,10 +847,10 @@ type Metrics struct {
 	// token index while building match lists.
 	TokenResolutions int
 	// ScanFallbacks counts token-slot patterns whose match lists were
-	// built by the legacy wildcard scan instead of token resolution.
+	// built by the wildcard scan instead of token resolution.
 	ScanFallbacks int
 	// BlocksEmitted counts frontier blocks the block-at-a-time join
-	// kernel flushed to the next join depth (0 with NoBlockJoin).
+	// kernel flushed to the next join depth.
 	BlocksEmitted int
 	// BlockRowsFiltered counts candidate join rows the block kernel cut
 	// with the shared top-k bound before they were materialised.
@@ -1719,15 +1691,10 @@ func (e *Engine) topkOptions() topk.Options {
 		mode = topk.Exhaustive
 	}
 	return topk.Options{
-		K:            e.opts.K,
-		Mode:         mode,
-		MinTokenSim:  e.opts.MinTokenSimilarity,
-		NoPlan:       e.opts.NoPlanner,
-		NoHashJoin:   e.opts.NoHashJoin,
-		NoSemiJoin:   e.opts.NoSemiJoin,
-		NoBlockJoin:  e.opts.NoBlockJoin,
-		NoTokenIndex: e.opts.NoTokenIndex,
-		Parallelism:  e.opts.Parallelism,
+		K:           e.opts.K,
+		Mode:        mode,
+		MinTokenSim: e.opts.MinTokenSimilarity,
+		Parallelism: e.opts.Parallelism,
 	}
 }
 

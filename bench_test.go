@@ -11,6 +11,8 @@ package trinit
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -180,18 +182,46 @@ func BenchmarkOpenIEExtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkRewriteExpansion measures rewrite-space expansion.
+// BenchmarkRewriteExpansion measures rewrite-space expansion: one
+// two-pattern query at the default depth 2 / 64 rewrites, and the
+// wide-join workload's query shapes (city and league joins and the
+// three-pattern join, over every city and league) at depth 3 / 256, with
+// ns/op and allocs/op per workload pass.
 func BenchmarkRewriteExpansion(b *testing.B) {
 	inst := fullInstance()
-	q := query.MustParse("?x affiliation ?u . ?u locatedIn Northford")
-	q.Projection = q.ProjectedVars()
-	exp := relax.NewExpander(inst.Rules)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(exp.Expand(q)) == 0 {
-			b.Fatal("no rewrites")
+	run := func(b *testing.B, exp *relax.Expander, texts ...string) {
+		qs := make([]*query.Query, len(texts))
+		for i, text := range texts {
+			qs[i] = query.MustParse(text)
+			qs[i].Projection = qs[i].ProjectedVars()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, q := range qs {
+				if len(exp.Expand(q)) == 0 {
+					b.Fatal("no rewrites")
+				}
+			}
 		}
 	}
+	b.Run("depth2", func(b *testing.B) {
+		run(b, relax.NewExpander(inst.Rules), "?x affiliation ?u . ?u locatedIn Northford")
+	})
+	b.Run("wide-join-depth3", func(b *testing.B) {
+		exp := relax.NewExpander(inst.Rules)
+		exp.MaxDepth, exp.MaxRewrites = 3, 256
+		var texts []string
+		for _, c := range world().Cities() {
+			texts = append(texts,
+				"SELECT ?x WHERE { ?x affiliation ?u . ?u locatedIn "+c+" }",
+				"?x ?p ?y . ?y locatedIn "+c+" . ?x affiliation ?u")
+		}
+		for _, l := range slices.Compact(slices.Sorted(maps.Values(world().Truth.UniLeague))) {
+			texts = append(texts, "SELECT ?x WHERE { ?x affiliation ?u . ?u member "+l+" }")
+		}
+		run(b, exp, texts...)
+	})
 }
 
 // BenchmarkEngineQuery measures a full public-API query round trip on the

@@ -101,19 +101,31 @@ func TestConcurrentQueriesMatchSerialBaseline(t *testing.T) {
 }
 
 // TestConcurrentQueriesWithRuleMutation interleaves rule mutations with
-// queries: the copy-on-write rule set must never corrupt an in-flight
-// query. The mutated rules can never match demo facts, so answers stay
-// comparable to the baseline throughout.
+// queries: the copy-on-write rule set, and the expander compiled with
+// it, must never corrupt an in-flight query. The mutator adds and removes
+// inert rules, and periodically clears every rule and re-adds the one
+// rule the query relaxes through (fig4-2), so each answer must match
+// either the baseline or the unrelaxed baseline.
 func TestConcurrentQueriesWithRuleMutation(t *testing.T) {
 	const qs = "AlbertEinstein hasAdvisor ?x"
+	const fig42 = "?x hasAdvisor ?y => ?y hasStudent ?x"
 	baseline := serialBaseline(t, []string{qs})[qs]
+	plain := NewDemoEngine()
+	plain.ClearRules()
+	unrelaxed, err := plain.Query(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameAnswers(baseline, unrelaxed) == nil {
+		t.Fatal("the query answers the same without rules; the test cannot tell rule sets apart")
+	}
 
 	e := NewDemoEngine()
 	errs := make(chan error, 256)
 	stop := make(chan struct{})
 	var mutator sync.WaitGroup
 	mutator.Add(1)
-	go func() { // mutator: add and remove inert rules until told to stop
+	go func() { // mutator: add, remove and clear rules until told to stop
 		defer mutator.Done()
 		for i := 0; ; i++ {
 			select {
@@ -128,6 +140,12 @@ func TestConcurrentQueriesWithRuleMutation(t *testing.T) {
 			if i%2 == 0 {
 				e.RemoveRule(id)
 			}
+			if i%5 == 0 {
+				e.ClearRules()
+				if err := e.AddRule("fig4-2", fig42, 1.0); err != nil {
+					errs <- err
+				}
+			}
 		}
 	}()
 	var queriers sync.WaitGroup
@@ -141,7 +159,7 @@ func TestConcurrentQueriesWithRuleMutation(t *testing.T) {
 					errs <- err
 					continue
 				}
-				if err := sameAnswers(baseline, res); err != nil {
+				if err := sameAnswers(baseline, res); err != nil && sameAnswers(unrelaxed, res) != nil {
 					errs <- err
 				}
 			}
@@ -154,4 +172,26 @@ func TestConcurrentQueriesWithRuleMutation(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+
+	// Each publication reaches the next query.
+	expect := func(step string, want *Result) {
+		t.Helper()
+		res, err := e.Query(qs)
+		if err == nil {
+			err = sameAnswers(want, res)
+		}
+		if err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+	e.ClearRules()
+	expect("ClearRules", unrelaxed)
+	if err := e.AddRule("fig4-2", fig42, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	expect("AddRule", baseline)
+	if !e.RemoveRule("fig4-2") {
+		t.Fatal("RemoveRule(fig4-2) = false")
+	}
+	expect("RemoveRule", unrelaxed)
 }

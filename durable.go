@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -244,10 +245,10 @@ func engineFromSnapshot(snap *serial.Snapshot, mapped *serial.MappedSnapshot, op
 	e := &Engine{
 		opts:      o,
 		st:        snap.Store,
-		rules:     snap.Rules,
 		admit:     newAdmission(o.AdmissionCapacity, o.AdmissionQueue),
 		defBudget: o.DefaultBudget,
 	}
+	e.setRules(snap.Rules)
 	e.initQueryPipeline(newMappedRef(mapped), snap.Epoch)
 	e.frozen = true
 	return e
@@ -309,17 +310,11 @@ func (e *Engine) applyWALRecord(rec serial.WALRecord) error {
 		if err != nil {
 			return fmt.Errorf("%w: delta-log rule %q: %v", ErrCorrupt, rec.RuleID, err)
 		}
-		e.rules = append(e.rules, r)
+		e.setRules(append(e.rules, r))
 	case serial.WALRuleRemove:
-		kept := e.rules[:0:0]
-		for _, r := range e.rules {
-			if r.ID != rec.RuleID {
-				kept = append(kept, r)
-			}
-		}
-		e.rules = kept
+		e.setRules(slices.DeleteFunc(slices.Clone(e.rules), func(r *relax.Rule) bool { return r.ID == rec.RuleID }))
 	case serial.WALRuleClear:
-		e.rules = nil
+		e.setRules(nil)
 	default:
 		return fmt.Errorf("%w: unknown delta-log op %d", ErrCorrupt, rec.Op)
 	}

@@ -203,8 +203,26 @@ func TestOpenEmptyDirIngestRecovery(t *testing.T) {
 	}
 }
 
+// rewriteRules returns the IDs of the rules applied across the rewrites
+// a query's trace lists.
+func rewriteRules(t *testing.T, e *Engine, q string) map[string]bool {
+	t.Helper()
+	res, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make(map[string]bool)
+	for _, tr := range res.Trace {
+		for _, id := range tr.Rules {
+			ids[id] = true
+		}
+	}
+	return ids
+}
+
 // TestRuleEditsSurviveRestart: add/remove/clear are logged ahead of
-// publication; every acknowledged edit survives a crash, in order.
+// publication; every acknowledged edit survives a crash, in order, and
+// reaches the recovered engine's query expansion.
 func TestRuleEditsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	demo := NewDemoEngine()
@@ -231,6 +249,9 @@ func TestRuleEditsSurviveRestart(t *testing.T) {
 	if len(rules) != base+1 || rules[len(rules)-1].ID != "extra-2" {
 		t.Fatalf("recovered rules: %+v", rules)
 	}
+	if ids := rewriteRules(t, re, "?x diedIn ?y . ?x bornIn ?z"); !ids["extra-2"] || ids["extra-1"] {
+		t.Fatalf("recovered expansion applies %v, want extra-2 and not extra-1", ids)
+	}
 	re.ClearRules()
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
@@ -240,6 +261,9 @@ func TestRuleEditsSurviveRestart(t *testing.T) {
 	defer final.Close()
 	if len(final.Rules()) != 0 {
 		t.Fatalf("clear did not survive: %+v", final.Rules())
+	}
+	if ids := rewriteRules(t, final, "AlbertEinstein hasAdvisor ?x . ?x diedIn ?y"); len(ids) != 0 {
+		t.Fatalf("expansion after a replayed clear applies %v", ids)
 	}
 	if info.WALReplayed != 4 {
 		t.Fatalf("replayed %d records, want 4", info.WALReplayed)

@@ -50,14 +50,28 @@ func (s Slot) String() string {
 	return s.Term.String()
 }
 
+// AppendTo appends the slot's String rendering to dst.
+func (s Slot) AppendTo(dst []byte) []byte {
+	if s.IsVar() {
+		return append(append(dst, '?'), s.Var...)
+	}
+	return s.Term.AppendTo(dst)
+}
+
 // Pattern is a single extended triple pattern.
 type Pattern struct {
 	S, P, O Slot
 }
 
 // String renders the pattern in query syntax.
-func (p Pattern) String() string {
-	return fmt.Sprintf("%s %s %s", p.S, p.P, p.O)
+func (p Pattern) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the pattern's String rendering to dst, for callers
+// that render many patterns into one reused buffer.
+func (p Pattern) AppendTo(dst []byte) []byte {
+	dst = append(p.S.AppendTo(dst), ' ')
+	dst = append(p.P.AppendTo(dst), ' ')
+	return p.O.AppendTo(dst)
 }
 
 // Vars returns the distinct variable names of the pattern in S, P, O order.
@@ -194,12 +208,18 @@ func (q *Query) Validate() error {
 	if q.Limit < 0 {
 		return fmt.Errorf("negative LIMIT %d", q.Limit)
 	}
-	bound := make(map[string]bool)
-	for _, v := range q.Vars() {
-		bound[v] = true
+	// A linear scan per variable beats building a set: queries are a few
+	// patterns, and rewrite expansion validates every candidate rewrite.
+	bound := func(v string) bool {
+		for _, p := range q.Patterns {
+			if v != "" && (p.S.Var == v || p.P.Var == v || p.O.Var == v) {
+				return true
+			}
+		}
+		return false
 	}
 	for _, v := range q.Projection {
-		if !bound[v] {
+		if !bound(v) {
 			return fmt.Errorf("projected variable ?%s does not occur in any pattern", v)
 		}
 	}
@@ -209,10 +229,10 @@ func (q *Query) Validate() error {
 		default:
 			return fmt.Errorf("unknown filter operator %q", f.Op)
 		}
-		if !bound[f.Var] {
+		if !bound(f.Var) {
 			return fmt.Errorf("filtered variable ?%s does not occur in any pattern", f.Var)
 		}
-		if f.RHSVar != "" && !bound[f.RHSVar] {
+		if f.RHSVar != "" && !bound(f.RHSVar) {
 			return fmt.Errorf("filtered variable ?%s does not occur in any pattern", f.RHSVar)
 		}
 	}

@@ -61,25 +61,26 @@ func Token(text string) Term { return Term{Kind: KindToken, Text: text} }
 // Embedded quotes and backslashes are backslash-escaped so that the
 // rendering round-trips through the query parser.
 func (t Term) String() string {
-	switch t.Kind {
-	case KindResource:
+	if t.Kind == KindResource {
 		return t.Text
-	default:
-		return "'" + escapeQuoted(t.Text) + "'"
 	}
+	return string(t.AppendTo(nil))
 }
 
-// escapeQuoted escapes backslashes and single quotes for quoted rendering.
-func escapeQuoted(s string) string {
-	var b []byte
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\', '\'':
-			b = append(b, '\\')
-		}
-		b = append(b, s[i])
+// AppendTo appends the term's String rendering to dst, for callers that
+// render many terms into one reused buffer.
+func (t Term) AppendTo(dst []byte) []byte {
+	if t.Kind == KindResource {
+		return append(dst, t.Text...)
 	}
-	return string(b)
+	dst = append(dst, '\'')
+	for i := 0; i < len(t.Text); i++ {
+		if c := t.Text[i]; c == '\\' || c == '\'' {
+			dst = append(dst, '\\')
+		}
+		dst = append(dst, t.Text[i])
+	}
+	return append(dst, '\'')
 }
 
 // TermID is a dense dictionary identifier for a term. The zero value is

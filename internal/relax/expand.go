@@ -1,10 +1,11 @@
 package relax
 
 import (
-	"container/heap"
 	"context"
+	"slices"
 
 	"trinit/internal/query"
+	"trinit/internal/rdf"
 )
 
 // Rewrite is one node of the rewrite space: a (possibly) relaxed query, the
@@ -20,9 +21,23 @@ type Rewrite struct {
 // derivation weight. The space is otherwise prohibitively large (§4), so
 // expansion is bounded by depth, count, and minimum weight; the top-k
 // processor additionally opens rewrites lazily.
+//
+// NewExpander compiles the rule set once: token constants are normalised
+// and rules are indexed by their first LHS pattern's predicate, so a
+// rewrite meets only the rules that can match one of its predicates, in
+// rule-set order. The compiled rule set never changes; set the bound
+// fields before sharing the expander, after which it is safe for
+// concurrent ExpandContext calls.
 type Expander struct {
-	// Rules is the rule repertoire.
-	Rules []*Rule
+	rules []*Rule
+	// norms maps each token constant of the rules to its normalised text.
+	norms map[string]string
+	// byPred holds the positions in rules, ascending, of the rules whose
+	// first LHS predicate is a constant, by predText; anyPred those of the
+	// rules whose first LHS predicate is a variable (or whose LHS is empty).
+	byPred  map[string][]int
+	anyPred []int
+
 	// MaxDepth bounds the number of rule applications per derivation;
 	// 0 disables relaxation entirely (only the original query is
 	// returned), negative values select the default depth of 2.
@@ -34,38 +49,122 @@ type Expander struct {
 	MinWeight float64
 }
 
-// NewExpander returns an expander with the default bounds used by the
-// engine: depth 2, 64 rewrites, minimum weight 0.05.
+// NewExpander compiles rules into an expander with the default bounds
+// used by the engine: depth 2, 64 rewrites, minimum weight 0.05.
 func NewExpander(rules []*Rule) *Expander {
-	return &Expander{Rules: rules, MaxDepth: 2, MaxRewrites: 64, MinWeight: 0.05}
+	e := &Expander{rules: rules, norms: make(map[string]string), byPred: make(map[string][]int), MaxDepth: 2, MaxRewrites: 64, MinWeight: 0.05}
+	u := unifier{norms: e.norms}
+	for i, r := range rules {
+		for _, p := range slices.Concat(r.LHS, r.RHS) {
+			for _, s := range [3]query.Slot{p.S, p.P, p.O} {
+				if !s.IsVar() && s.Term.Kind == rdf.KindToken {
+					u.norm(s.Term.Text)
+				}
+			}
+		}
+		if len(r.LHS) == 0 || r.LHS[0].P.IsVar() {
+			e.anyPred = append(e.anyPred, i)
+			continue
+		}
+		k := u.predText(r.LHS[0].P.Term)
+		e.byPred[k] = append(e.byPred[k], i)
+	}
+	return e
 }
 
+// predText returns the index key of a constant predicate: its text,
+// normalised for a token phrase, so termEqual terms share a key.
+func (u *unifier) predText(t rdf.Term) string {
+	if t.Kind == rdf.KindToken {
+		return u.norm(t.Text)
+	}
+	return t.Text
+}
+
+// candidates returns the positions of the rules that may apply to q,
+// ascending: those indexed under one of q's constant predicates and those
+// whose first LHS predicate is a variable.
+func (e *Expander) candidates(dst []int, q *query.Query, u *unifier) []int {
+	dst = append(dst[:0], e.anyPred...)
+	for _, p := range q.Patterns {
+		if !p.P.IsVar() {
+			dst = append(dst, e.byPred[u.predText(p.P.Term)]...)
+		}
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
+}
+
+// rwItem is a rewrite on the frontier. Its canonical key is rendered once,
+// when the rewrite is built; its applied-rule list is only materialised if
+// the rewrite is returned.
 type rwItem struct {
-	rw    Rewrite
-	depth int
+	q      *query.Query
+	key    string
+	weight float64
+	depth  int
+	parent []*Rule
+	rule   *Rule
 }
 
+func (it *rwItem) applied() []*Rule {
+	if it.rule == nil {
+		return it.parent
+	}
+	return append(slices.Clip(it.parent), it.rule)
+}
+
+// rwHeap is a binary max-heap of frontier rewrites, typed so that items
+// are not boxed on push and pop. Its sift steps are container/heap's:
+// items that rank equal (one query reached through different rules) must
+// keep popping in the same order, or the returned derivations change.
 type rwHeap []rwItem
 
-func (h rwHeap) Len() int      { return len(h) }
-func (h rwHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h rwHeap) Less(i, j int) bool {
-	if h[i].rw.Weight != h[j].rw.Weight {
-		return h[i].rw.Weight > h[j].rw.Weight
+func (h rwHeap) less(i, j int) bool {
+	if h[i].weight != h[j].weight {
+		return h[i].weight > h[j].weight
 	}
 	// Deterministic tie-break: shallower derivations first, then by
 	// canonical query text.
 	if h[i].depth != h[j].depth {
 		return h[i].depth < h[j].depth
 	}
-	return canonicalKey(h[i].rw.Query) < canonicalKey(h[j].rw.Query)
+	return h[i].key < h[j].key
 }
-func (h *rwHeap) Push(x any) { *h = append(*h, x.(rwItem)) }
-func (h *rwHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+
+func (h *rwHeap) push(it rwItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *rwHeap) pop() rwItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && s.less(j+1, j) {
+			j++
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	it := s[n]
+	*h = s[:n]
 	return it
 }
 
@@ -90,11 +189,15 @@ func (e *Expander) ExpandContext(ctx context.Context, q *query.Query) ([]Rewrite
 		maxDepth = 2
 	}
 	done := ctx.Done()
-	h := &rwHeap{{rw: Rewrite{Query: q, Weight: 1}, depth: 0}}
-	heap.Init(h)
+	h := rwHeap{{q: q, key: canonicalKey(q), weight: 1}}
 	seen := make(map[string]bool)
-	var out []Rewrite
-	for h.Len() > 0 {
+	var (
+		u    = unifier{fixed: e.norms}
+		out  []Rewrite
+		cand []int
+		apps []Application
+	)
+	for len(h) > 0 {
 		if done != nil {
 			select {
 			case <-done:
@@ -102,35 +205,29 @@ func (e *Expander) ExpandContext(ctx context.Context, q *query.Query) ([]Rewrite
 			default:
 			}
 		}
-		it := heap.Pop(h).(rwItem)
-		key := canonicalKey(it.rw.Query)
-		if seen[key] {
+		it := h.pop()
+		if seen[it.key] {
 			continue
 		}
-		seen[key] = true
-		out = append(out, it.rw)
+		seen[it.key] = true
+		rw := Rewrite{Query: it.q, Applied: it.applied(), Weight: it.weight}
+		out = append(out, rw)
 		if e.MaxRewrites > 0 && len(out) >= e.MaxRewrites {
 			break
 		}
 		if it.depth >= maxDepth {
 			continue
 		}
-		for _, r := range e.Rules {
-			for _, app := range Apply(it.rw.Query, r) {
-				w := it.rw.Weight * r.Weight
-				if w < e.MinWeight {
-					continue
-				}
-				if seen[canonicalKey(app.Query)] {
-					continue
-				}
-				applied := make([]*Rule, len(it.rw.Applied), len(it.rw.Applied)+1)
-				copy(applied, it.rw.Applied)
-				applied = append(applied, r)
-				heap.Push(h, rwItem{
-					rw:    Rewrite{Query: app.Query, Applied: applied, Weight: w},
-					depth: it.depth + 1,
-				})
+		cand = e.candidates(cand, rw.Query, &u)
+		for _, ri := range cand {
+			r := e.rules[ri]
+			w := rw.Weight * r.Weight
+			if w < e.MinWeight {
+				continue
+			}
+			apps = u.apply(apps, rw.Query, it.key, r, seen)
+			for _, app := range apps {
+				h.push(rwItem{q: app.Query, key: app.key, weight: w, depth: it.depth + 1, parent: rw.Applied, rule: r})
 			}
 		}
 	}

@@ -29,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -286,12 +287,14 @@ type OperatorFunc func(e *Engine) []RuleSpec
 // so in-flight queries keep the snapshot they started with.
 type Engine struct {
 	// mu guards the mutable engine state: rules (replaced wholesale,
-	// never appended in place), operators, frozen, and the published
+	// never appended in place) with the expander compiled from them (both
+	// published by setRules only), operators, frozen, and the published
 	// store version. Read paths hold it only long enough to snapshot.
 	mu        sync.RWMutex
 	opts      Options
 	st        *store.Store
 	rules     []*relax.Rule
+	expander  *relax.Expander
 	operators []OperatorFunc
 	frozen    bool
 
@@ -354,12 +357,14 @@ type Engine struct {
 // New creates an empty engine. Pass nil for default options.
 func New(opts *Options) *Engine {
 	o := opts.withDefaults()
-	return &Engine{
+	e := &Engine{
 		opts:      o,
 		st:        store.New(nil, nil),
 		admit:     newAdmission(o.AdmissionCapacity, o.AdmissionQueue),
 		defBudget: o.DefaultBudget,
 	}
+	e.setRules(nil)
+	return e
 }
 
 // newAdmission builds the admission controller for a capacity/queue
@@ -578,10 +583,18 @@ func (e *Engine) AddRule(id, rule string, weight float64) error {
 // old slice is never mutated, so queries that snapshotted it race-free
 // keep a consistent rule set.
 func (e *Engine) appendRules(rs ...*relax.Rule) {
-	next := make([]*relax.Rule, 0, len(e.rules)+len(rs))
-	next = append(next, e.rules...)
-	next = append(next, rs...)
-	e.rules = next
+	e.setRules(append(slices.Clip(e.rules), rs...))
+}
+
+// setRules publishes a rule set together with the expander compiled from
+// it, so the rules compile once per publication rather than per query.
+// Callers hold e.mu or own the engine exclusively.
+func (e *Engine) setRules(rules []*relax.Rule) {
+	exp := relax.NewExpander(rules)
+	exp.MaxDepth = e.opts.MaxRelaxationDepth
+	exp.MaxRewrites = e.opts.MaxRewrites
+	exp.MinWeight = e.opts.MinRewriteWeight
+	e.rules, e.expander = rules, exp
 }
 
 // MineRules mines relaxation rules from the XKG (predicate alignment,
@@ -742,7 +755,7 @@ func (e *Engine) RemoveRule(id string) bool {
 			return false
 		}
 	}
-	e.rules = kept
+	e.setRules(kept)
 	return true
 }
 
@@ -758,7 +771,7 @@ func (e *Engine) ClearRules() {
 			return
 		}
 	}
-	e.rules = nil
+	e.setRules(nil)
 }
 
 // Answer is one ranked query result.
@@ -1190,7 +1203,7 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 		return nil, fmt.Errorf("%w: %w", ErrParse, err)
 	}
 	e.mu.RLock()
-	frozen, rules := e.frozen, e.rules
+	frozen, exp := e.frozen, e.expander
 	admit, defBudget, group := e.admit, e.defBudget, e.group
 	e.mu.RUnlock()
 	if !frozen {
@@ -1236,10 +1249,6 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 	e.inFlight.Add(1)
 	defer e.inFlight.Add(-1)
 
-	exp := relax.NewExpander(rules)
-	exp.MaxDepth = e.opts.MaxRelaxationDepth
-	exp.MaxRewrites = e.opts.MaxRewrites
-	exp.MinWeight = e.opts.MinRewriteWeight
 	rewrites, runErr := exp.ExpandContext(ctx, q)
 
 	// Streaming: fn errors cancel the run through a private context, so
@@ -1817,10 +1826,10 @@ func (e *Engine) Ready() bool {
 func NewDemoEngine() *Engine {
 	d := dataset.NewDemo()
 	e := &Engine{
-		opts:  (*Options)(nil).withDefaults(),
-		st:    d.Store,
-		rules: d.Rules,
+		opts: (*Options)(nil).withDefaults(),
+		st:   d.Store,
 	}
+	e.setRules(d.Rules)
 	e.initQueryPipeline(nil, 0)
 	e.frozen = true
 	return e
@@ -1998,7 +2007,7 @@ func Load(r io.Reader, opts *Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.rules = dec.Rules
+	e.setRules(dec.Rules)
 	return e, nil
 }
 

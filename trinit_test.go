@@ -303,7 +303,8 @@ func TestExhaustiveOptionMatchesIncremental(t *testing.T) {
 	inc := NewDemoEngine()
 	exhOpts := (*Options)(nil).withDefaults()
 	exhOpts.Exhaustive = true
-	exh := &Engine{opts: exhOpts, st: inc.st, rules: inc.rules, frozen: true}
+	exh := &Engine{opts: exhOpts, st: inc.st, frozen: true}
+	exh.setRules(inc.rules)
 
 	for _, dq := range DemoQueries() {
 		a, err := inc.Query(dq.Query)
@@ -524,8 +525,6 @@ func TestQueryTrace(t *testing.T) {
 func TestEngineOptionsMaxRewrites(t *testing.T) {
 	opts := &Options{MaxRewrites: 2}
 	base := NewDemoEngine()
-	e := &Engine{opts: opts.withDefaults(), st: nil}
-	_ = e
 	// Rebuild a demo-like engine with constrained options.
 	limited := New(opts)
 	if err := limited.AddKGFact("AlfredKleiner", "hasStudent", "AlbertEinstein"); err != nil {

@@ -23,6 +23,7 @@ import (
 	"trinit/internal/rdf"
 	"trinit/internal/relax"
 	"trinit/internal/score"
+	"trinit/internal/suggest"
 	"trinit/internal/topk"
 )
 
@@ -135,6 +136,50 @@ func BenchmarkE6Suggest(b *testing.B) {
 }
 
 // --- micro-benchmarks -------------------------------------------------
+
+// BenchmarkSuggest measures token → resource suggestions over
+// token-phrase queries shaped like the token-explore workload's (token
+// predicates bound to every university and city, plus the unbound
+// patterns) and a subject token per person, one op per pass: cold
+// computes every token from the store (a fresh suggester per pass, as
+// after a publish), warm reads the per-version memo.
+func BenchmarkSuggest(b *testing.B) {
+	inst := fullInstance()
+	texts := []string{"?x 'worked at' ?u", "?x 'was born in' ?c", "?x 'lectured at' ?u"}
+	for _, u := range world().Universities() {
+		texts = append(texts, "?x 'worked at' "+u)
+	}
+	for _, c := range world().Cities() {
+		texts = append(texts, "?x 'worked at' ?u . ?u locatedIn "+c)
+	}
+	for _, p := range world().People()[:20] {
+		texts = append(texts, "'"+p+"' 'won prize for' ?f")
+	}
+	qs := make([]*query.Query, len(texts))
+	for i, text := range texts {
+		qs[i] = query.MustParse(text)
+	}
+	pass := func(s *suggest.Suggester) {
+		for _, q := range qs {
+			s.Suggest(q)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pass(suggest.New(inst.Store))
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		s := suggest.New(inst.Store)
+		pass(s)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass(s)
+		}
+	})
+}
 
 // BenchmarkStoreMatch measures a bound-predicate index scan.
 func BenchmarkStoreMatch(b *testing.B) {

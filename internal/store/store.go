@@ -626,19 +626,6 @@ type PredicateStat struct {
 	Count int
 }
 
-// Args returns the set of (subject, object) pairs connected by predicate p,
-// the args(p) of the paper's rule-mining weight formula. It streams the
-// index range through MatchEach, so no intermediate ID slice is built.
-func (st *Store) Args(p rdf.TermID) map[[2]rdf.TermID]bool {
-	out := make(map[[2]rdf.TermID]bool, st.Count(rdf.NoTerm, p, rdf.NoTerm))
-	st.MatchEach(rdf.NoTerm, p, rdf.NoTerm, func(id ID) bool {
-		t := st.Triple(id)
-		out[[2]rdf.TermID{t.S, t.O}] = true
-		return true
-	})
-	return out
-}
-
 // Stats summarises the store contents (§5 reports these for the demo XKG).
 type Stats struct {
 	Triples        int

@@ -245,13 +245,13 @@ func TestPredicatesAndArgs(t *testing.T) {
 		}
 	}
 	bornIn := term(st, rdf.Resource("bornIn"))
-	args := st.Args(bornIn)
+	args := st.Match(rdf.NoTerm, bornIn, rdf.NoTerm)
 	if len(args) != 1 {
 		t.Fatalf("args(bornIn) = %d pairs, want 1", len(args))
 	}
 	e := term(st, rdf.Resource("AlbertEinstein"))
 	u := term(st, rdf.Resource("Ulm"))
-	if !args[[2]rdf.TermID{e, u}] {
+	if tr := st.Triple(args[0]); tr.S != e || tr.O != u {
 		t.Fatal("args(bornIn) missing (AlbertEinstein, Ulm)")
 	}
 }

@@ -11,7 +11,9 @@ package suggest
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"sync"
 
 	"trinit/internal/query"
 	"trinit/internal/rdf"
@@ -20,44 +22,81 @@ import (
 	"trinit/internal/topk"
 )
 
+// memoCap bounds the per-version suggestion memo. A client sending
+// endless distinct tokens gets suggestions computed without being stored
+// once the memo is full, so memory stays bounded.
+const memoCap = 4096
+
 // Suggester provides completions and reformulation suggestions over one
-// frozen store.
+// frozen store. It is safe for concurrent use.
 type Suggester struct {
-	st   *store.Store
-	trie *text.Trie
+	st *store.Store
 	// MinOverlap is the match-overlap threshold for token → resource
-	// suggestions.
+	// suggestions. It is applied when a memoised suggestion is read, so
+	// changing it after New takes effect immediately.
 	MinOverlap float64
+
+	trieOnce sync.Once
+	trie     *text.Trie
+
+	mu   sync.RWMutex
+	memo map[memoKey]bestResource
 }
 
-// New builds a suggester; the store must be frozen.
+// memoKey identifies one token → resource computation: the token text as
+// written, in predicate or subject/object role.
+type memoKey struct {
+	pred bool
+	tok  string
+}
+
+// bestResource is a token's unthresholded best resource: NoTerm when no
+// resource overlaps, else the resource with its overlap (predicate role)
+// or label similarity (subject/object role).
+type bestResource struct {
+	res     rdf.TermID
+	overlap float64
+}
+
+// New returns a suggester over st, which must be frozen before the first
+// Suggest or Complete. It does no work up front: token suggestions are
+// computed on first request and memoised, and the completion trie is
+// built on the first Complete.
 func New(st *store.Store) *Suggester {
-	s := &Suggester{st: st, trie: text.NewTrie(), MinOverlap: 0.3}
-	// Weight completions by how often the term occurs in triples, so
-	// that prominent entities and predicates surface first.
-	freq := make(map[rdf.TermID]int)
-	for i := 0; i < st.Len(); i++ {
-		t := st.Triple(store.ID(i))
-		freq[t.S]++
-		freq[t.P]++
-		freq[t.O]++
-	}
-	ids := make([]rdf.TermID, 0, len(freq))
-	for id := range freq {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		term := st.Dict().Term(id)
-		s.trie.Insert(term.Text, uint32(id), float64(freq[id]))
-	}
-	return s
+	return &Suggester{st: st, MinOverlap: 0.3, memo: make(map[memoKey]bestResource)}
+}
+
+// completionTrie builds the completion trie once, weighting each term by
+// how often it occurs in triples so that prominent entities and
+// predicates surface first.
+func (s *Suggester) completionTrie() *text.Trie {
+	s.trieOnce.Do(func() {
+		st := s.st
+		freq := make(map[rdf.TermID]int)
+		for i := 0; i < st.Len(); i++ {
+			t := st.Triple(store.ID(i))
+			freq[t.S]++
+			freq[t.P]++
+			freq[t.O]++
+		}
+		ids := make([]rdf.TermID, 0, len(freq))
+		for id := range freq {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		trie := text.NewTrie()
+		for _, id := range ids {
+			trie.Insert(st.Dict().Term(id).Text, uint32(id), float64(freq[id]))
+		}
+		s.trie = trie
+	})
+	return s.trie
 }
 
 // Complete returns up to limit auto-completions for a prefix the user is
 // typing into an S, P or O field.
 func (s *Suggester) Complete(prefix string, limit int) []text.Completion {
-	return s.trie.Complete(prefix, limit)
+	return s.completionTrie().Complete(prefix, limit)
 }
 
 // TokenSuggestion proposes replacing a textual token of the query with a
@@ -88,72 +127,87 @@ func (s *Suggester) Suggest(q *query.Query) []TokenSuggestion {
 			if sl.IsVar() || sl.Term.Kind != rdf.KindToken {
 				continue
 			}
-			var sugg *TokenSuggestion
-			if si == 1 {
-				sugg = s.predicateSuggestion(sl.Term.Text)
-			} else {
-				sugg = s.entitySuggestion(sl.Term.Text)
+			best := s.best(si == 1, sl.Term.Text)
+			if best.res == rdf.NoTerm || best.overlap < s.MinOverlap {
+				continue
 			}
-			if sugg != nil {
-				sugg.Position = fmt.Sprintf("pattern %d, %s", pi+1, roles[si])
-				out = append(out, *sugg)
-			}
+			out = append(out, TokenSuggestion{
+				Token:    sl.Term.Text,
+				Resource: s.st.Dict().Term(best.res).Text,
+				Overlap:  best.overlap,
+				Position: "pattern " + strconv.Itoa(pi+1) + ", " + roles[si],
+			})
 		}
 	}
 	return out
 }
 
-// predicateSuggestion finds the KG predicate whose argument pairs best
-// cover the matches of the token predicate.
-func (s *Suggester) predicateSuggestion(tok string) *TokenSuggestion {
-	// Gather the argument pairs matched by the token predicate.
-	tokPairs := make(map[[2]rdf.TermID]bool)
-	for _, cand := range s.st.MatchToken(tok, store.MaskToken, 0.5, 0) {
-		for pair := range s.st.Args(cand.Term) {
-			tokPairs[pair] = true
-		}
+// best returns the memoised best resource for a token, computing it on a
+// miss. Concurrent misses on one key compute the same value; the memo stops
+// growing at memoCap entries.
+func (s *Suggester) best(pred bool, tok string) bestResource {
+	key := memoKey{pred: pred, tok: tok}
+	s.mu.RLock()
+	b, ok := s.memo[key]
+	s.mu.RUnlock()
+	if ok {
+		return b
 	}
-	if len(tokPairs) == 0 {
-		return nil
+	if pred {
+		b = s.predicateBest(tok)
+	} else {
+		b = s.entityBest(tok)
 	}
-	best := TokenSuggestion{Token: tok}
-	for _, ps := range s.st.Predicates() {
-		term := s.st.Dict().Term(ps.Pred)
-		if term.Kind != rdf.KindResource {
-			continue
-		}
-		args := s.st.Args(ps.Pred)
-		inter := 0
-		for pair := range tokPairs {
-			if args[pair] {
-				inter++
-			}
-		}
-		overlap := float64(inter) / float64(len(tokPairs))
-		if overlap > best.Overlap {
-			best.Overlap = overlap
-			best.Resource = term.Text
-		}
+	s.mu.Lock()
+	if len(s.memo) < memoCap {
+		s.memo[key] = b
 	}
-	if best.Overlap < s.MinOverlap || best.Resource == "" {
-		return nil
-	}
-	return &best
+	s.mu.Unlock()
+	return b
 }
 
-// entitySuggestion finds the KG resource whose label is most similar to a
-// subject/object token, weighted by how many triples mention it.
-func (s *Suggester) entitySuggestion(tok string) *TokenSuggestion {
-	cands := s.st.MatchToken(tok, store.MaskResource, s.MinOverlap, 5)
+// predicateBest finds the KG predicate whose argument pairs best cover
+// the argument pairs of the token predicate's matches: the largest
+// overlap, ties to the lowest TermID. It reads each pair's predicates off
+// the osp index instead of materialising every predicate's argument set.
+func (s *Suggester) predicateBest(tok string) bestResource {
+	pairs := make(map[[2]rdf.TermID]struct{})
+	for _, cand := range s.st.MatchToken(tok, store.MaskToken, 0.5, 0) {
+		for _, id := range s.st.Match(rdf.NoTerm, cand.Term, rdf.NoTerm) {
+			t := s.st.Triple(id)
+			pairs[[2]rdf.TermID{t.S, t.O}] = struct{}{}
+		}
+	}
+	// inter counts, per predicate, the token pairs it connects: each
+	// triple key is unique, so a predicate appears once per pair.
+	inter := make(map[rdf.TermID]int)
+	for pr := range pairs {
+		for _, id := range s.st.Match(pr[0], rdf.NoTerm, pr[1]) {
+			inter[s.st.Triple(id).P]++
+		}
+	}
+	var best rdf.TermID
+	n := 0
+	dict := s.st.Dict()
+	for p, c := range inter {
+		if (c > n || c == n && p < best) && dict.Term(p).Kind == rdf.KindResource {
+			best, n = p, c
+		}
+	}
+	if n == 0 {
+		return bestResource{}
+	}
+	return bestResource{res: best, overlap: float64(n) / float64(len(pairs))}
+}
+
+// entityBest finds the KG resource whose label is most similar to a
+// subject/object token.
+func (s *Suggester) entityBest(tok string) bestResource {
+	cands := s.st.MatchToken(tok, store.MaskResource, 0, 1)
 	if len(cands) == 0 {
-		return nil
+		return bestResource{}
 	}
-	best := cands[0]
-	return &TokenSuggestion{
-		Token:    tok,
-		Resource: s.st.Dict().Term(best.Term).Text,
-		Overlap:  best.Sim,
-	}
+	return bestResource{res: cands[0].Term, overlap: cands[0].Sim}
 }
 
 // Notice informs the user that a structural relaxation contributed to the

@@ -1439,7 +1439,7 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 			Answers: n.Answers,
 		})
 	}
-	for _, s := range ver.suggester().Suggest(q) {
+	for _, s := range ver.sug.Suggest(q) {
 		res.Suggestions = append(res.Suggestions, Suggestion{
 			Token:    s.Token,
 			Resource: s.Resource,
@@ -1553,7 +1553,7 @@ func (e *Engine) Complete(prefix string, limit int) []Completion {
 	ver := e.currentVersion()
 	defer ver.unpin()
 	var out []Completion
-	for _, c := range ver.suggester().Complete(prefix, limit) {
+	for _, c := range ver.sug.Complete(prefix, limit) {
 		out = append(out, Completion{Text: c.Text, Weight: c.Weight})
 	}
 	return out
@@ -1974,7 +1974,7 @@ func (e *Engine) AskContext(ctx context.Context, question string, opts ...QueryO
 		return nil, "", fmt.Errorf("%w (call Freeze before asking)", ErrNotFrozen)
 	}
 	ver := e.currentVersion()
-	tl, err := ver.translator().Translate(question)
+	tl, err := ver.tr.Translate(question)
 	ver.unpin()
 	if err != nil {
 		return nil, "", fmt.Errorf("%w: %w", ErrParse, err)

@@ -5,9 +5,9 @@ package trinit
 // Every published store state — the snapshot loaded at Open, the overlay
 // after each live-ingest batch, the merged store after a compaction — is
 // wrapped in an immutable storeVersion bundling the store with everything
-// derived from it: the match-list cache, the executor pool, and the
-// lazily built suggester and question translator. Queries pin the current
-// version at admission and read it lock-free for their whole lifetime;
+// derived from it: the match-list cache, the executor pool, the suggester
+// and the question translator. Queries pin the current version at
+// admission and read it lock-free for their whole lifetime;
 // ingest and compaction publish a successor under the engine lock and
 // retire the old version without ever blocking the read path.
 //
@@ -86,14 +86,13 @@ type storeVersion struct {
 	cache *topk.Cache
 	execs *sync.Pool
 
-	// The suggester and question translator scan the store to build, so
-	// each is constructed on first use rather than at publish — the
-	// price of keeping segment open time and ingest latency independent
-	// of the triple count.
-	sugOnce sync.Once
-	sug     *suggest.Suggester
-	trOnce  sync.Once
-	tr      *qa.Translator
+	// sug and tr are the version's query suggester and question
+	// translator. Neither does store-sized work at construction, so
+	// publish, segment open and ingest latency stay independent of the
+	// triple count: the suggester memoises each token's suggestion for
+	// this version and builds its completion trie on the first Complete.
+	sug *suggest.Suggester
+	tr  *qa.Translator
 
 	pins    atomic.Int64
 	retired atomic.Bool
@@ -111,25 +110,13 @@ func newStoreVersion(e *Engine, st, base *store.Store, delta *store.Delta, mappe
 		epoch:  epoch,
 		mapped: mapped.acquire(),
 		cache:  topk.NewCache(e.opts.MatchCacheSize),
+		sug:    suggest.New(st),
+		tr:     qa.NewTranslator(st),
 	}
 	opts := e.topkOptions()
 	cache := v.cache
 	v.execs = &sync.Pool{New: func() any { return topk.NewExecutor(st, cache, opts) }}
 	return v
-}
-
-// suggester returns the version's query suggester, building it on first
-// use.
-func (v *storeVersion) suggester() *suggest.Suggester {
-	v.sugOnce.Do(func() { v.sug = suggest.New(v.st) })
-	return v.sug
-}
-
-// translator returns the version's question translator, building it on
-// first use.
-func (v *storeVersion) translator() *qa.Translator {
-	v.trOnce.Do(func() { v.tr = qa.NewTranslator(v.st) })
-	return v.tr
 }
 
 // pin takes a read lease on the version. Callers pin under e.mu (read

@@ -1,19 +1,17 @@
-// Command trinit-bench regenerates the paper's evaluation artefacts
-// (experiments E1–E6) plus the ablation studies E7–E8, the durability
-// experiment E9 and the sharded-execution experiment E10; see DESIGN.md
-// §4 and EXPERIMENTS.md.
+// Command trinit-bench regenerates the paper's evaluation tables
+// (experiments E1–E6) plus the ablation studies E7–E8; internal/experiments
+// documents each one.
 //
 // Usage:
 //
-//	trinit-bench [-exp all|e1|...|e10|e5,e9,e10] [-scale small|bench|benchxN] [-queries 70] [-seed 1]
+//	trinit-bench [-exp all|e1|...|e8|e1,e5] [-scale small|bench|benchxN] [-queries 70] [-seed 1]
 //
 // -scale benchxN multiplies the bench world's entity counts by N (e.g.
-// benchx100 for a ~100× world) — the regime where zero-copy mapped
-// segments pay off.
+// benchx10 for a ~10× world).
 //
-// -exp accepts a comma-separated list. The tables are for reading; the
-// repository's machine-readable performance record is the bench/
-// benchmark.
+// -exp accepts a comma-separated list; an unknown name exits with status
+// 2. The tables are for reading; the repository's machine-readable
+// performance record is the bench/ benchmark.
 package main
 
 import (
@@ -29,7 +27,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiments to run: all, or a comma list of e1..e10")
+	exp := flag.String("exp", "all", "experiments to run: all, or a comma list of e1..e8")
 	scale := flag.String("scale", "small", "world scale: small, bench, or benchxN for an N-times bench world")
 	queries := flag.Int("queries", 70, "workload size (paper: 70)")
 	seed := flag.Int64("seed", 1, "world seed")
@@ -98,7 +96,6 @@ func main() {
 		e5Queries := min(*queries, 20)
 		fmt.Println(experiments.FormatE5(experiments.RunE5(world(), e5Queries, nil)))
 		fmt.Println(experiments.FormatE5Depth(experiments.RunE5Depth(world(), e5Queries, nil)))
-		fmt.Println(experiments.FormatE5Parallel(experiments.RunE5Parallel(world(), e5Queries, 10, nil)))
 	}
 	if want("e6") {
 		ran = true
@@ -112,24 +109,8 @@ func main() {
 		ran = true
 		fmt.Println(experiments.FormatE8(experiments.RunE8(world(), min(*queries, 30))))
 	}
-	if want("e9") {
-		ran = true
-		// The default sizes top out at 1M triples regardless of -scale:
-		// the store is synthesised directly, not from the world generator,
-		// and the 1M row backs the "snapshot loads in seconds" claim.
-		rows, err := experiments.RunE9Persist(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trinit-bench: e9: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(experiments.FormatE9Persist(rows))
-	}
-	if want("e10") {
-		ran = true
-		fmt.Println(experiments.FormatE10Shards(experiments.RunE10Shards(world(), min(*queries, 20), 10, nil)))
-	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "trinit-bench: unknown experiment %q (use all, or a comma list of e1..e10)\n", *exp)
+		fmt.Fprintf(os.Stderr, "trinit-bench: unknown experiment %q (use all, or a comma list of e1..e8)\n", *exp)
 		os.Exit(2)
 	}
 }

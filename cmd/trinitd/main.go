@@ -117,10 +117,6 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			rebuilt := ""
-			if info.IndexesRebuilt {
-				rebuilt = ", indexes rebuilt"
-			}
 			torn := ""
 			if info.TornBytes > 0 {
 				torn = fmt.Sprintf(", %d torn tail bytes truncated", info.TornBytes)
@@ -129,8 +125,8 @@ func main() {
 			if info.Mapped {
 				residency = fmt.Sprintf("mapped zero-copy (%d bytes)", info.MappedBytes)
 			}
-			log.Printf("trinitd: recovered %s: snapshot epoch %d (%d bytes%s) %s, %d delta records replayed (%d stale skipped%s) in %v",
-				*dataDir, info.SnapshotEpoch, info.SnapshotBytes, rebuilt, residency,
+			log.Printf("trinitd: recovered %s: snapshot epoch %d (%d bytes) %s, %d delta records replayed (%d stale skipped%s) in %v",
+				*dataDir, info.SnapshotEpoch, info.SnapshotBytes, residency,
 				info.WALReplayed, info.WALSkipped, torn, info.LoadTime)
 			return e, nil
 		}

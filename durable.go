@@ -101,13 +101,9 @@ type RecoveryInfo struct {
 	SnapshotEpoch uint64
 	// SnapshotBytes is the snapshot file size (0 without a snapshot).
 	SnapshotBytes int64
-	// IndexesRebuilt reports that the snapshot predated the current
-	// index format, so the permutation indexes were re-sorted from the
-	// triple column instead of loaded eagerly.
-	IndexesRebuilt bool
 	// Mapped reports that the snapshot is served zero-copy from a
-	// memory-mapped segment (v2 format, mappable host) rather than
-	// decoded onto the heap; MappedBytes is the mapping size.
+	// memory-mapped segment (mappable host, mapping not disabled) rather
+	// than decoded onto the heap; MappedBytes is the mapping size.
 	Mapped      bool
 	MappedBytes int
 	// WALReplayed counts delta-log records applied on top of the
@@ -155,7 +151,6 @@ func Open(dir string, opts *Options) (*Engine, *RecoveryInfo, error) {
 		e = engineFromSnapshot(snap, mapped, opts)
 		info.SnapshotEpoch = snap.Epoch
 		info.SnapshotBytes = snap.Bytes
-		info.IndexesRebuilt = snap.IndexesRebuilt
 		info.Mapped = mapped != nil
 		info.MappedBytes = mapped.MappedBytes()
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -215,9 +210,9 @@ func Open(dir string, opts *Options) (*Engine, *RecoveryInfo, error) {
 
 // openSnapshot opens the segment at path mapped when possible (and not
 // disabled by Options.NoMapSegments), falling back to the eager decoder
-// for structurally unmappable files. Damage surfaces as an error either
-// way — a corrupt file must never silently fall back to decoding the
-// same bad bytes.
+// only when the host cannot map. Damaged files, and files in another
+// segment format or index version, surface as ErrCorrupt either way — the
+// eager decoder would refuse the same bytes.
 func openSnapshot(path string, opts *Options) (*serial.Snapshot, *serial.MappedSnapshot, error) {
 	if opts == nil || !opts.NoMapSegments {
 		m, err := serial.OpenSnapshotMapped(path)
@@ -225,8 +220,8 @@ func openSnapshot(path string, opts *Options) (*serial.Snapshot, *serial.MappedS
 		case err == nil:
 			return &m.Snapshot, m, nil
 		case errors.Is(err, serial.ErrNotMappable):
-			// v1 segment, stale index version, or unmappable host: the
-			// eager decoder handles all of these.
+			// No mmap, a big-endian host, or a failed mmap call: the
+			// eager decoder reads the same file from the heap.
 		default:
 			return nil, nil, err
 		}
@@ -599,10 +594,11 @@ func (e *Engine) SaveShardSnapshots(dir string) ([]string, error) {
 
 // LoadSnapshot restores a frozen, queryable engine from a snapshot file
 // written by SaveSnapshot (or from a data directory's snapshot.trnt,
-// ignoring any delta log next to it). v2 segments are served zero-copy
+// ignoring any delta log next to it). The segment is served zero-copy
 // from a memory mapping when the host allows it (disable with
-// Options.NoMapSegments); v1 segments decode eagerly. Pass nil opts for
-// defaults.
+// Options.NoMapSegments) and decoded onto the heap otherwise; a file in
+// another segment format or index version fails with ErrCorrupt. Pass nil
+// opts for defaults.
 func LoadSnapshot(path string, opts *Options) (*Engine, error) {
 	snap, mapped, err := openSnapshot(path, opts)
 	if err != nil {

@@ -17,8 +17,12 @@ package trinit
 // Run with -race; CI gates on the differential by name.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,6 +30,7 @@ import (
 	"testing"
 
 	"trinit/internal/faultinject"
+	"trinit/internal/serial"
 	"trinit/internal/store"
 )
 
@@ -140,9 +145,6 @@ func TestPersistOpenRoundTrip(t *testing.T) {
 	if info.SnapshotEpoch != 1 || info.WALReplayed != 0 || info.TornBytes != 0 {
 		t.Fatalf("recovery info: %+v", info)
 	}
-	if info.IndexesRebuilt {
-		t.Fatal("current-version snapshot should load indexes eagerly")
-	}
 	sameEngineState(t, NewDemoEngine(), back)
 	res, err := back.Query("AlbertEinstein hasAdvisor ?x")
 	if err != nil {
@@ -150,6 +152,76 @@ func TestPersistOpenRoundTrip(t *testing.T) {
 	}
 	if len(res.Answers) == 0 || res.Answers[0].Bindings["x"] != "AlfredKleiner" {
 		t.Fatalf("recovered engine lost the demo answer: %+v", res.Answers)
+	}
+}
+
+// TestSnapshotUnsupportedVersionRefused: a segment at the current format
+// and index version is the only on-disk form any reader accepts. A
+// retired v1 header and a current header stamped with another index
+// version (each with a valid header checksum, so only the version is
+// wrong) are refused by the eager decoder, the mapped open, LoadSnapshot
+// and Open, mapped or not, with ErrCorrupt — never ErrNotMappable, which
+// would hand the bytes to another decoder, and never a partial engine.
+func TestSnapshotUnsupportedVersionRefused(t *testing.T) {
+	valid := filepath.Join(t.TempDir(), snapshotFile)
+	if err := NewDemoEngine().SaveSnapshot(valid); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	v1 := bytes.Clone(data) // v1's 28-byte header keeps its CRC at byte 24
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	binary.LittleEndian.PutUint32(v1[24:], crc32.Checksum(v1[:24], castagnoli))
+	staleIndex := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(staleIndex[12:], store.IndexFormatVersion+1)
+	binary.LittleEndian.PutUint32(staleIndex[28:], crc32.Checksum(staleIndex[:28], castagnoli))
+
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"v1", v1, "unsupported snapshot format version 1"},
+		{"index-version", staleIndex, fmt.Sprintf("unsupported index format version %d", store.IndexFormatVersion+1)},
+	} {
+		refused := func(reader string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrCorrupt) || errors.Is(err, serial.ErrNotMappable) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s %s: err=%v, want ErrCorrupt %q", c.name, reader, err, c.want)
+			}
+		}
+		if snap, err := serial.DecodeSnapshot(c.data); snap != nil {
+			t.Fatalf("%s DecodeSnapshot accepted the file", c.name)
+		} else {
+			refused("DecodeSnapshot", err)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, snapshotFile)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := serial.OpenSnapshotMapped(path); m != nil {
+			m.Close()
+			t.Fatalf("%s OpenSnapshotMapped accepted the file", c.name)
+		} else if !strings.Contains(err.Error(), "no mmap on this platform") {
+			refused("OpenSnapshotMapped", err)
+		}
+		for _, opts := range []*Options{nil, {NoMapSegments: true}} {
+			if e, err := LoadSnapshot(path, opts); e != nil {
+				t.Fatalf("%s LoadSnapshot(%+v) loaded an engine", c.name, opts)
+			} else {
+				refused("LoadSnapshot", err)
+			}
+			if e, _, err := Open(dir, opts); e != nil {
+				e.Close()
+				t.Fatalf("%s Open(%+v) opened an engine", c.name, opts)
+			} else {
+				refused("Open", err)
+			}
+		}
 	}
 }
 

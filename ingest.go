@@ -15,7 +15,7 @@ package trinit
 // Freeze.
 //
 // Compact folds the delta back into a single base — in memory for
-// ephemeral engines, through Checkpoint (next-epoch v2 segment, WAL
+// ephemeral engines, through Checkpoint (next-epoch segment, WAL
 // rotation, remap) for durable ones. With Options.CompactAfter set, a
 // background compaction triggers automatically once the delta outgrows
 // the threshold.

@@ -2,11 +2,14 @@ package serial
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"trinit/internal/rdf"
 	"trinit/internal/store"
@@ -69,9 +72,10 @@ func fuzzSnapshotSeed(f *testing.F) []byte {
 }
 
 // FuzzDecodeSnapshot: the segment decoder must never panic or
-// over-allocate on adversarial input — truncations, bit flips and
-// length-field lies all land on ErrCorrupt — and whatever it accepts
-// must re-encode to an image that decodes to the same store.
+// over-allocate on adversarial input — truncations, bit flips,
+// length-field lies and unsupported versions all land on ErrCorrupt —
+// whatever it accepts must re-encode to an image that decodes to the same
+// store, and the mapped decoder must accept it too and agree.
 func FuzzDecodeSnapshot(f *testing.F) {
 	valid := fuzzSnapshotSeed(f)
 	f.Add(valid)
@@ -80,10 +84,18 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x10 // bit flip
 	f.Add(flipped)
 	lie := bytes.Clone(valid)
-	for i := 29; i < 37 && i < len(lie); i++ { // first section length field
+	for i := headerSize + 8; i < headerSize+16; i++ { // first section length field
 		lie[i] = 0xFF
 	}
 	f.Add(lie)
+	v1 := bytes.Clone(valid) // the retired v1 header: CRC over 24 bytes
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	binary.LittleEndian.PutUint32(v1[24:], crc32.Checksum(v1[:24], castagnoli))
+	f.Add(v1)
+	staleIndex := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(staleIndex[12:], store.IndexFormatVersion+1)
+	binary.LittleEndian.PutUint32(staleIndex[28:], crc32.Checksum(staleIndex[:28], castagnoli))
+	f.Add(staleIndex)
 	f.Add([]byte("TRNTSEG1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -107,13 +119,22 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("round trip changed shape: %d/%d triples, %d/%d rules",
 				snap.Store.Len(), again.Store.Len(), len(snap.Rules), len(again.Rules))
 		}
-		// The rebuild path must agree with whatever the file carried.
-		rb, err := DecodeSnapshotForceRebuild(data)
+		// The mapped decoder reads the same bytes in place; give it an
+		// 8-byte-aligned copy, as a mapping would be.
+		aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(make([]uint64, (len(data)+7)/8)))), len(data))
+		copy(aligned, data)
+		m, err := openMapped(aligned)
 		if err != nil {
-			t.Fatalf("force-rebuild rejects what eager decode accepted: %v", err)
+			t.Fatalf("mapped decoder rejects what eager decode accepted: %v", err)
 		}
-		if rb.Store.Len() != snap.Store.Len() {
-			t.Fatalf("rebuild store shape differs: %d vs %d", rb.Store.Len(), snap.Store.Len())
+		if m.Store.Len() != snap.Store.Len() || m.Epoch != snap.Epoch || len(m.Rules) != len(snap.Rules) {
+			t.Fatalf("mapped decode differs: %d/%d triples, epoch %d/%d, %d/%d rules",
+				m.Store.Len(), snap.Store.Len(), m.Epoch, snap.Epoch, len(m.Rules), len(snap.Rules))
+		}
+		for i, r := range m.Rules {
+			if r.ID != snap.Rules[i].ID || r.Weight != snap.Rules[i].Weight || RuleText(r) != RuleText(snap.Rules[i]) {
+				t.Fatalf("mapped rule %d: %+v vs %+v", i, r, snap.Rules[i])
+			}
 		}
 	})
 }

@@ -1,20 +1,21 @@
 package serial
 
-// Zero-copy snapshot opening. OpenSnapshotMapped memory-maps a v2 segment
+// Zero-copy snapshot opening. OpenSnapshotMapped memory-maps a segment
 // file and serves its triple columns and permutation indexes directly as
 // typed views into the mapping: open time is dominated by the one
 // verification pass (header CRC, per-section CRCs, O(n) store validation)
 // plus the eager decode of the small string-bearing sections (dictionary,
 // provenance, rules) — never by materialising the columns.
 //
-// Two failure families are kept distinct. ErrNotMappable means the file or
-// host cannot be served zero-copy for a structural reason (v1 format,
-// stale index version, big-endian host, platform without mmap) and the
-// caller should fall back to the eager decoder. ErrCorrupt means the file
-// is damaged; falling back would decode the same bad bytes, so the caller
-// must surface it. Every byte the mapped store will ever dereference is
-// CRC-verified and bounds-validated at open, so a truncated or bit-flipped
-// file fails here with ErrCorrupt rather than faulting mid-query.
+// Two failure families are kept distinct. ErrNotMappable means the host
+// cannot serve the file zero-copy (a platform without mmap, a big-endian
+// host, a failed mmap call) and the caller should fall back to the eager
+// decoder. ErrCorrupt means the file is damaged or in a format this
+// build does not read; falling back would decode the same bytes, so the
+// caller must surface it. Every byte the mapped store will ever
+// dereference is CRC-verified and bounds-validated at open, so a truncated
+// or bit-flipped file fails here with ErrCorrupt rather than faulting
+// mid-query.
 
 import (
 	"errors"
@@ -23,16 +24,13 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"encoding/binary"
-	"hash/crc32"
-
 	"trinit/internal/rdf"
 	"trinit/internal/store"
 )
 
-// ErrNotMappable reports that a snapshot cannot be served zero-copy and
-// the caller should fall back to eager decoding. It is never returned for
-// damaged files — those are ErrCorrupt.
+// ErrNotMappable reports that the host cannot serve a snapshot zero-copy
+// and the caller should fall back to eager decoding. It is never returned
+// for a file's content — damaged or unsupported files are ErrCorrupt.
 var ErrNotMappable = errors.New("serial: snapshot not mappable")
 
 // hostLittleEndian reports whether the running host matches the file
@@ -71,8 +69,8 @@ func (m *MappedSnapshot) Close() error {
 
 // OpenSnapshotMapped maps the segment file at path and assembles a store
 // over zero-copy column views. It returns ErrNotMappable (possibly
-// wrapped) when the file or host requires the eager decode path, and
-// ErrCorrupt when the file is damaged.
+// wrapped) when the host requires the eager decode path, and ErrCorrupt
+// when the file is damaged or unsupported.
 func OpenSnapshotMapped(path string) (*MappedSnapshot, error) {
 	if !mmapSupported {
 		return nil, fmt.Errorf("%w: no mmap on this platform", ErrNotMappable)
@@ -89,7 +87,7 @@ func OpenSnapshotMapped(path string) (*MappedSnapshot, error) {
 		f.Close()
 		return nil, err
 	}
-	if fi.Size() < v2HeaderSize {
+	if fi.Size() < headerSize {
 		f.Close()
 		return nil, corruptf("snapshot file is %d bytes, smaller than a header", fi.Size())
 	}
@@ -108,40 +106,19 @@ func OpenSnapshotMapped(path string) (*MappedSnapshot, error) {
 
 // openMapped verifies the mapped image and builds the snapshot over it.
 func openMapped(data []byte) (*MappedSnapshot, error) {
-	if string(data[:8]) != snapMagic {
-		return nil, corruptf("bad snapshot magic")
+	epoch, err := checkHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	version := binary.LittleEndian.Uint32(data[8:])
-	switch version {
-	case snapFormatVersion:
-		return nil, fmt.Errorf("%w: v1 segment (decode eagerly)", ErrNotMappable)
-	case snapFormatVersionV2:
-	default:
-		return nil, corruptf("unsupported snapshot format version %d", version)
-	}
-	if crc := binary.LittleEndian.Uint32(data[28:]); crc != crc32.Checksum(data[:28], castagnoli) {
-		return nil, corruptf("snapshot header checksum mismatch")
-	}
-	indexVersion := binary.LittleEndian.Uint32(data[12:])
-	if indexVersion != store.IndexFormatVersion {
-		// A mapped store trusts the on-disk permutation order after
-		// validating it; an older sort order cannot be fixed in place.
-		return nil, fmt.Errorf("%w: index format v%d, want v%d", ErrNotMappable, indexVersion, store.IndexFormatVersion)
-	}
-
 	snap := &MappedSnapshot{
-		Snapshot: Snapshot{
-			Epoch:        binary.LittleEndian.Uint64(data[16:]),
-			IndexVersion: indexVersion,
-			Bytes:        int64(len(data)),
-		},
-		data: data,
+		Snapshot: Snapshot{Epoch: epoch, Bytes: int64(len(data))},
+		data:     data,
 	}
 	dict := rdf.NewDict()
 	prov := rdf.NewProvTable()
 	var cols *store.MappedColumns
 	var idx store.IndexSnapshot
-	err := walkSectionsV2(data, func(id byte, _ int, payload []byte) error {
+	err = walkSections(data, func(id byte, payload []byte) error {
 		switch id {
 		case secDict:
 			return decodeDict(payload, dict)
@@ -149,29 +126,16 @@ func openMapped(data []byte) (*MappedSnapshot, error) {
 			return decodeProv(payload, prov)
 		case secTriples:
 			var err error
-			cols, err = viewTriplesV2(payload)
+			cols, err = viewTriples(payload)
 			return err
 		case secSPO, secPOS, secOSP:
-			c, err := viewIndexV2(payload)
-			if err != nil {
-				return err
-			}
-			switch id {
-			case secSPO:
-				idx.SPO = c
-			case secPOS:
-				idx.POS = c
-			case secOSP:
-				idx.OSP = c
-			}
+			c, err := viewIndex(payload)
+			*indexSlot(&idx, id) = c
+			return err
 		case secRules:
 			rules, err := decodeRules(payload)
 			snap.Rules = rules
 			return err
-		case secEnd:
-			if len(payload) != 0 {
-				return corruptf("end marker carries %d payload bytes", len(payload))
-			}
 		}
 		return nil
 	})
@@ -186,10 +150,10 @@ func openMapped(data []byte) (*MappedSnapshot, error) {
 	return snap, nil
 }
 
-// viewTriplesV2 casts the columnar triple section into zero-copy column
+// viewTriples casts the columnar triple section into zero-copy column
 // views over the mapping.
-func viewTriplesV2(payload []byte) (*store.MappedColumns, error) {
-	n, err := v2TriplesN(payload)
+func viewTriples(payload []byte) (*store.MappedColumns, error) {
+	n, err := triplesN(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -223,9 +187,9 @@ func viewTriplesV2(payload []byte) (*store.MappedColumns, error) {
 	}, nil
 }
 
-// viewIndexV2 casts one columnar index section into zero-copy views.
-func viewIndexV2(payload []byte) (store.IndexColumns, error) {
-	n, err := v2IndexN(payload)
+// viewIndex casts one columnar index section into zero-copy views.
+func viewIndex(payload []byte) (store.IndexColumns, error) {
+	n, err := indexN(payload)
 	if err != nil {
 		return store.IndexColumns{}, err
 	}

@@ -2,26 +2,26 @@ package serial
 
 // Memory-mapped segment contract at the serial level:
 //
-//   - a v2 segment opened with OpenSnapshotMapped serves the identical
+//   - a segment opened with OpenSnapshotMapped serves the identical
 //     store (triples, metadata, index-served match lists, rules) without
 //     decoding the columns onto the heap;
 //   - every single-bit flip and every truncation of the file surfaces as
 //     ErrCorrupt at open time — columns are validated before any view is
 //     published, so damage can never SIGBUS a query later;
-//   - files the mapped path cannot serve (v1 segments, stale index
-//     versions) fail with ErrNotMappable so callers fall back to the
-//     eager decoder, and that classification never swallows corruption;
-//   - v1 files written by WriteSnapshotV1 still decode eagerly, so old
-//     snapshot directories keep opening after the format change.
+//   - ErrNotMappable is reserved for the host (no mmap, big-endian, a
+//     failed mmap call) and never swallows damage, so callers fall back
+//     to the eager decoder only for the same bytes it would accept.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"trinit/internal/store"
@@ -143,51 +143,51 @@ func TestMappedTruncations(t *testing.T) {
 	}
 }
 
-// TestMappedV1NotMappable: a v1 segment is structurally unmappable —
-// the mapped open classifies it for eager fallback rather than calling
-// it corrupt, and the eager decoder still round-trips it.
-func TestMappedV1NotMappable(t *testing.T) {
-	st, rules := segStore(t, 10)
-	var buf bytes.Buffer
-	if err := WriteSnapshotV1(&buf, st, rules, 2); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := OpenSnapshotMapped(writeSegFile(t, data)); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("v1 mapped open: err=%v, want ErrNotMappable", err)
-	}
+// refusedByBoth checks that the eager decoder and the mapped open both
+// refuse data with an ErrCorrupt naming want and return nothing. The
+// refusal is never ErrNotMappable, which would hand the bytes to the
+// other decoder.
+func refusedByBoth(t *testing.T, data []byte, want string) {
+	t.Helper()
 	snap, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
+	if snap != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DecodeSnapshot: snapshot=%t err=%v, want ErrCorrupt %q", snap != nil, err, want)
 	}
-	if snap.Epoch != 2 {
-		t.Fatalf("v1 epoch = %d, want 2", snap.Epoch)
+	m, err := OpenSnapshotMapped(writeSegFile(t, data))
+	if m != nil {
+		m.Close()
+		t.Fatal("OpenSnapshotMapped accepted the file")
 	}
-	sameStore(t, st, snap.Store)
-	if len(snap.Rules) != len(rules) {
-		t.Fatalf("v1 rules: %d, want %d", len(snap.Rules), len(rules))
+	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotMappable) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenSnapshotMapped: err=%v, want ErrCorrupt %q", err, want)
 	}
 }
 
-// TestMappedStaleIndexVersionNotMappable: the zero-copy path serves the
-// permutation indexes verbatim, so a stale index format must fall back
-// to the eager decoder's rebuild-by-sort instead of trusting the bytes.
+// TestMappedV1NotMappable: a retired v1 header (with its 24-byte header
+// checksum valid, so only the version is wrong) is neither mapped nor
+// decoded eagerly — both readers refuse it as corrupt.
+func TestMappedV1NotMappable(t *testing.T) {
+	st, rules := segStore(t, 10)
+	data := encodeSeg(t, st, rules, 2)
+	openMappedFile(t, writeSegFile(t, data)).Close()
+
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	binary.LittleEndian.PutUint32(data[24:], crc32.Checksum(data[:24], castagnoli))
+	refusedByBoth(t, data, "unsupported snapshot format version 1")
+}
+
+// TestMappedStaleIndexVersionNotMappable: the mapped path serves the
+// permutation indexes verbatim, so a file stamped with another index
+// format version is refused rather than trusted, and the eager decoder
+// refuses it too instead of re-sorting.
 func TestMappedStaleIndexVersionNotMappable(t *testing.T) {
 	st, rules := segStore(t, 10)
 	data := encodeSeg(t, st, rules, 1)
-	binary.LittleEndian.PutUint32(data[12:], store.IndexFormatVersion-1)
+	openMappedFile(t, writeSegFile(t, data)).Close()
+
+	binary.LittleEndian.PutUint32(data[12:], store.IndexFormatVersion+1)
 	binary.LittleEndian.PutUint32(data[28:], crc32.Checksum(data[:28], castagnoli))
-	if _, err := OpenSnapshotMapped(writeSegFile(t, data)); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("stale index version: err=%v, want ErrNotMappable", err)
-	}
-	snap, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.IndexesRebuilt {
-		t.Fatal("eager fallback did not rebuild the indexes")
-	}
-	sameStore(t, st, snap.Store)
+	refusedByBoth(t, data, fmt.Sprintf("unsupported index format version %d", store.IndexFormatVersion+1))
 }
 
 // TestMappedCloseIdempotent: Close unmaps once; double Close and Close

@@ -4,26 +4,42 @@ package serial
 //
 // A snapshot is the durable image of the XKG at one epoch: dictionary,
 // provenance, the triple column, the three columnar permutation indexes,
-// and the relaxation rules, each in its own CRC-framed section:
+// and the relaxation rules, each in its own CRC-framed section. The
+// layout is mmap-ready, so a reader can serve the hot columns in place
+// from a memory-mapped file (see mapped.go):
 //
 //	magic "TRNTSEG1"
-//	u32 format version | u32 index version | u64 epoch | u32 header CRC
-//	sections, each: u8 id | u64 payload length | payload | u32 payload CRC
+//	u32 format version (2) | u32 index version | u64 epoch
+//	u32 reserved (0) | u32 header CRC            → 32-byte header
+//	sections, each at an 8-byte-aligned offset:
+//	  u8 id | 3 zero bytes | u32 payload CRC | u64 payload length
+//	  payload, zero-padded to the next 8-byte boundary
 //	end marker: section id 0xFF with empty payload
 //
 // All integers are little-endian; checksums are CRC-32C (Castagnoli).
 // Sections appear in a fixed canonical order, and the end marker means a
-// truncated file is always detectable. The index sections carry exactly
-// what store.Freeze would have sorted; when the file's index version
-// predates store.IndexFormatVersion the decoder checksums but skips them
-// and rebuilds by sorting the triple column instead — an older snapshot
-// is a slower open, never a wrong one.
+// truncated file is always detectable. The section CRC covers the padded
+// stored bytes, so verification is one pass over exactly the bytes on
+// disk. The triple and index sections are fixed-width columns:
 //
-// Every decoding failure surfaces as an error wrapping ErrCorrupt. The
-// decoder validates section lengths and record counts against the bytes
-// actually present before allocating, so a length-field lie cannot make
-// it over-allocate, and a snapshot can never load partially: the caller
-// gets the whole frozen store or a typed error.
+//	triples: u64 n | f64 conf[n] | u32 s[n] | u32 p[n] | u32 o[n]
+//	         | u32 prov[n] | u8 src[n]
+//	index:   u64 n | u32 ids[n] | u32 k1[n] | u32 k2[n]
+//
+// Every array starts at an offset aligned to its element size (the
+// payload itself starts 8-aligned: 32-byte header, 16-byte frames, padded
+// payloads). The dictionary, provenance and rule sections are
+// varint-packed; they are always decoded eagerly, because their strings
+// must survive an unmap. The index sections carry exactly what
+// store.Freeze would have sorted under store.IndexFormatVersion.
+//
+// This is the only format either decoder reads. A file with another
+// format version (the retired varint-packed v1) or another index version
+// is refused with an error wrapping ErrCorrupt, like every other decoding
+// failure. The decoder validates section lengths and record counts
+// against the bytes actually present before allocating, so a length-field
+// lie cannot make it over-allocate, and a snapshot can never load
+// partially: the caller gets the whole frozen store or a typed error.
 
 import (
 	"encoding/binary"
@@ -35,6 +51,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"trinit/internal/faultinject"
 	"trinit/internal/rdf"
@@ -42,9 +59,10 @@ import (
 	"trinit/internal/store"
 )
 
-// ErrCorrupt is wrapped by every error reporting damaged or inconsistent
-// on-disk data — checksum mismatches, truncation, length-field lies,
-// records that fail validation. Callers test with errors.Is.
+// ErrCorrupt is wrapped by every error reporting damaged, inconsistent or
+// unsupported on-disk data — checksum mismatches, truncation, length-field
+// lies, records that fail validation, unknown format versions. Callers
+// test with errors.Is.
 var ErrCorrupt = errors.New("serial: corrupt data")
 
 func corruptf(format string, args ...any) error {
@@ -53,7 +71,10 @@ func corruptf(format string, args ...any) error {
 
 const (
 	snapMagic         = "TRNTSEG1"
-	snapFormatVersion = 1
+	snapFormatVersion = 2
+
+	headerSize = 32
+	frameSize  = 16
 )
 
 const (
@@ -78,13 +99,6 @@ type Snapshot struct {
 	// Epoch is the snapshot's epoch stamp; WAL records carry the same
 	// stamp so recovery can tell live deltas from stale ones.
 	Epoch uint64
-	// IndexVersion is the index-format version the file was written
-	// under.
-	IndexVersion uint32
-	// IndexesRebuilt reports that the permutation indexes were re-sorted
-	// from the triple column instead of loaded eagerly, because the file
-	// predates store.IndexFormatVersion (or a rebuild was forced).
-	IndexesRebuilt bool
 	// Bytes is the encoded size, when known (ReadSnapshotFile sets it).
 	Bytes int64
 	// Store is the decoded store, already frozen.
@@ -93,30 +107,26 @@ type Snapshot struct {
 	Rules []*relax.Rule
 }
 
+// sectionBufPool recycles the writer's per-section encode buffer across
+// snapshot writes, so checkpoint loops do not regrow a multi-megabyte
+// scratch slice every epoch.
+var sectionBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1<<16); return &b }}
+
+// pad returns the stored (padded) length of a payload.
+func pad(n int) int { return (n + 7) &^ 7 }
+
 // WriteSnapshot encodes a snapshot of the frozen store and rules at the
-// given epoch to w, in the current (v2, mmap-ready) segment format.
+// given epoch to w.
 func WriteSnapshot(w io.Writer, st *store.Store, rules []*relax.Rule, epoch uint64) error {
 	if !st.Frozen() {
 		return fmt.Errorf("serial: WriteSnapshot requires a frozen store")
 	}
-	return writeSnapshotV2(w, st, rules, epoch)
-}
-
-// WriteSnapshotV1 encodes a snapshot in the legacy v1 (varint-packed)
-// segment format. v1 files stay fully readable — DecodeSnapshot dispatches
-// on the header's version field — but cannot be memory-mapped; the
-// exported writer exists so back-compat tests and migration tooling can
-// still produce them.
-func WriteSnapshotV1(w io.Writer, st *store.Store, rules []*relax.Rule, epoch uint64) error {
-	if !st.Frozen() {
-		return fmt.Errorf("serial: WriteSnapshotV1 requires a frozen store")
-	}
-	var hdr [28]byte
+	var hdr [headerSize]byte
 	copy(hdr[:8], snapMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], snapFormatVersion)
 	binary.LittleEndian.PutUint32(hdr[12:], store.IndexFormatVersion)
 	binary.LittleEndian.PutUint64(hdr[16:], epoch)
-	binary.LittleEndian.PutUint32(hdr[24:], crc32.Checksum(hdr[:24], castagnoli))
+	binary.LittleEndian.PutUint32(hdr[28:], crc32.Checksum(hdr[:28], castagnoli))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -135,21 +145,26 @@ func WriteSnapshotV1(w io.Writer, st *store.Store, rules []*relax.Rule, epoch ui
 		{secRules, func(buf []byte) []byte { return appendRules(buf, rules) }},
 		{secEnd, func(buf []byte) []byte { return buf }},
 	}
-	var payload []byte
+	bufp := sectionBufPool.Get().(*[]byte)
+	payload := *bufp
+	defer func() { *bufp = payload[:0]; sectionBufPool.Put(bufp) }()
 	for _, s := range sections {
 		payload = s.encode(payload[:0])
-		var frame [9]byte
+		rawLen := len(payload)
+		for len(payload) < pad(rawLen) {
+			payload = append(payload, 0)
+		}
+		// The length field records the unpadded payload; the stored
+		// length is derived by rounding up, and the CRC covers the
+		// padded bytes so verification reads exactly what is on disk.
+		var frame [frameSize]byte
 		frame[0] = s.id
-		binary.LittleEndian.PutUint64(frame[1:], uint64(len(payload)))
+		binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+		binary.LittleEndian.PutUint64(frame[8:], uint64(rawLen))
 		if _, err := w.Write(frame[:]); err != nil {
 			return err
 		}
 		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, castagnoli))
-		if _, err := w.Write(crc[:]); err != nil {
 			return err
 		}
 	}
@@ -248,129 +263,126 @@ func ReadSnapshotFile(path string) (*Snapshot, error) {
 	return snap, nil
 }
 
-// DecodeSnapshot decodes an in-memory snapshot image into a frozen store.
-// Any damage — truncation, checksum mismatch, invalid records — returns
-// an error wrapping ErrCorrupt.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	return decodeSnapshot(data, false)
-}
-
-// DecodeSnapshotForceRebuild decodes like DecodeSnapshot but ignores the
-// eager index sections (after checksumming them) and re-sorts the
-// permutation indexes from the triple column — the path every snapshot
-// takes after an index-format bump. Benchmarks and tests use it to
-// compare eager load against rebuild.
-func DecodeSnapshotForceRebuild(data []byte) (*Snapshot, error) {
-	return decodeSnapshot(data, true)
-}
-
-func decodeSnapshot(data []byte, forceRebuild bool) (*Snapshot, error) {
-	if len(data) < 28 {
-		return nil, corruptf("snapshot header truncated (%d bytes)", len(data))
+// checkHeader verifies a snapshot header — magic, format version, header
+// checksum, index version — and returns the epoch it carries. The format
+// version is checked before the checksum, whose position depends on it.
+func checkHeader(data []byte) (epoch uint64, err error) {
+	if len(data) < headerSize {
+		return 0, corruptf("snapshot header truncated (%d bytes)", len(data))
 	}
 	if string(data[:8]) != snapMagic {
-		return nil, corruptf("bad snapshot magic")
+		return 0, corruptf("bad snapshot magic")
 	}
-	// The version field sits at the same offset in every format; the
-	// header CRC's position depends on it, so dispatch before verifying.
-	version := binary.LittleEndian.Uint32(data[8:])
-	switch version {
-	case snapFormatVersion:
-		if crc := binary.LittleEndian.Uint32(data[24:]); crc != crc32.Checksum(data[:24], castagnoli) {
-			return nil, corruptf("snapshot header checksum mismatch")
-		}
-	case snapFormatVersionV2:
-		if len(data) < v2HeaderSize {
-			return nil, corruptf("snapshot header truncated (%d bytes)", len(data))
-		}
-		if crc := binary.LittleEndian.Uint32(data[28:]); crc != crc32.Checksum(data[:28], castagnoli) {
-			return nil, corruptf("snapshot header checksum mismatch")
-		}
-		return decodeSnapshotV2(data, forceRebuild)
-	default:
-		return nil, corruptf("unsupported snapshot format version %d", version)
+	if v := binary.LittleEndian.Uint32(data[8:]); v != snapFormatVersion {
+		return 0, corruptf("unsupported snapshot format version %d", v)
 	}
-	snap := &Snapshot{
-		Epoch:        binary.LittleEndian.Uint64(data[16:]),
-		IndexVersion: binary.LittleEndian.Uint32(data[12:]),
+	if crc := binary.LittleEndian.Uint32(data[28:]); crc != crc32.Checksum(data[:28], castagnoli) {
+		return 0, corruptf("snapshot header checksum mismatch")
 	}
-	loadIndexes := !forceRebuild && snap.IndexVersion == store.IndexFormatVersion
+	// The index sections are trusted after validation, so a file sorted
+	// under another index format is refused rather than re-sorted.
+	if v := binary.LittleEndian.Uint32(data[12:]); v != store.IndexFormatVersion {
+		return 0, corruptf("unsupported index format version %d (want %d)", v, store.IndexFormatVersion)
+	}
+	return binary.LittleEndian.Uint64(data[16:]), nil
+}
 
+// DecodeSnapshot eagerly decodes an in-memory snapshot image into a heap
+// store — the path taken when mapping is unavailable or disabled. Any
+// damage — truncation, checksum mismatch, invalid records, an unsupported
+// format or index version — returns an error wrapping ErrCorrupt.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	epoch, err := checkHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	snap := &Snapshot{Epoch: epoch}
 	dict := rdf.NewDict()
 	prov := rdf.NewProvTable()
 	st := store.New(dict, prov)
 	var idx store.IndexSnapshot
 
-	off := 28
-	for _, want := range sectionOrder {
-		if off+9 > len(data) {
-			return nil, corruptf("snapshot truncated at section header (offset %d)", off)
-		}
-		id := data[off]
-		if id != want {
-			return nil, corruptf("snapshot section %#x out of order (want %#x)", id, want)
-		}
-		n := binary.LittleEndian.Uint64(data[off+1 : off+9])
-		off += 9
-		if n > uint64(len(data)-off) {
-			return nil, corruptf("section %#x claims %d bytes, only %d remain", id, n, len(data)-off)
-		}
-		payload := data[off : off+int(n)]
-		off += int(n)
-		if off+4 > len(data) {
-			return nil, corruptf("snapshot truncated at section %#x checksum", id)
-		}
-		if crc := binary.LittleEndian.Uint32(data[off:]); crc != crc32.Checksum(payload, castagnoli) {
-			return nil, corruptf("section %#x checksum mismatch", id)
-		}
-		off += 4
-
-		var err error
+	err = walkSections(data, func(id byte, payload []byte) error {
 		switch id {
 		case secDict:
-			err = decodeDict(payload, dict)
+			return decodeDict(payload, dict)
 		case secProv:
-			err = decodeProv(payload, prov)
+			return decodeProv(payload, prov)
 		case secTriples:
-			err = decodeTriples(payload, st)
+			return decodeTriples(payload, st)
 		case secSPO, secPOS, secOSP:
-			if loadIndexes {
-				var cols store.IndexColumns
-				cols, err = decodeIndex(payload)
-				switch id {
-				case secSPO:
-					idx.SPO = cols
-				case secPOS:
-					idx.POS = cols
-				case secOSP:
-					idx.OSP = cols
-				}
-			}
+			cols, err := decodeIndex(payload)
+			*indexSlot(&idx, id) = cols
+			return err
 		case secRules:
-			snap.Rules, err = decodeRules(payload)
-		case secEnd:
-			if n != 0 {
-				err = corruptf("end marker carries %d payload bytes", n)
-			}
+			rules, err := decodeRules(payload)
+			snap.Rules = rules
+			return err
 		}
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if off != len(data) {
-		return nil, corruptf("%d trailing bytes after end marker", len(data)-off)
-	}
-
-	if loadIndexes {
-		if err := st.FreezeWithIndexes(idx); err != nil {
-			return nil, corruptf("%v", err)
-		}
-	} else {
-		st.Freeze()
-		snap.IndexesRebuilt = true
+	if err := st.FreezeWithIndexes(idx); err != nil {
+		return nil, corruptf("%v", err)
 	}
 	snap.Store = st
 	return snap, nil
+}
+
+// indexSlot returns the permutation index an index section fills.
+func indexSlot(idx *store.IndexSnapshot, id byte) *store.IndexColumns {
+	switch id {
+	case secSPO:
+		return &idx.SPO
+	case secPOS:
+		return &idx.POS
+	}
+	return &idx.OSP
+}
+
+// walkSections verifies the framing and checksums of every section in data
+// (which must start with a verified header) and calls fn with each
+// unpadded payload in canonical order; the end marker must be empty and
+// is not passed to fn. The payloads alias data.
+func walkSections(data []byte, fn func(id byte, payload []byte) error) error {
+	off := headerSize
+	for _, want := range sectionOrder {
+		if off+frameSize > len(data) {
+			return corruptf("snapshot truncated at section header (offset %d)", off)
+		}
+		id := data[off]
+		if id != want {
+			return corruptf("snapshot section %#x out of order (want %#x)", id, want)
+		}
+		if data[off+1] != 0 || data[off+2] != 0 || data[off+3] != 0 {
+			return corruptf("section %#x frame padding is not zero", id)
+		}
+		crc := binary.LittleEndian.Uint32(data[off+4:])
+		n := binary.LittleEndian.Uint64(data[off+8:])
+		off += frameSize
+		stored := (n + 7) &^ 7
+		if stored > uint64(len(data)-off) {
+			return corruptf("section %#x claims %d bytes, only %d remain", id, n, len(data)-off)
+		}
+		padded := data[off : off+int(stored)]
+		if crc32.Checksum(padded, castagnoli) != crc {
+			return corruptf("section %#x checksum mismatch", id)
+		}
+		if id == secEnd {
+			if n != 0 {
+				return corruptf("end marker carries %d payload bytes", n)
+			}
+		} else if err := fn(id, padded[:n]); err != nil {
+			return err
+		}
+		off += int(stored)
+	}
+	if off != len(data) {
+		return corruptf("%d trailing bytes after end marker", len(data)-off)
+	}
+	return nil
 }
 
 // --- section payloads ---
@@ -446,66 +458,35 @@ func decodeProv(payload []byte, pt *rdf.ProvTable) error {
 	return r.done()
 }
 
+// appendTriples encodes the triple set column-at-a-time in fixed-width
+// little-endian layout (see the package comment for offsets).
 func appendTriples(buf []byte, st *store.Store) []byte {
-	buf = binary.AppendUvarint(buf, uint64(st.Len()))
-	for i := 0; i < st.Len(); i++ {
-		t := st.Triple(store.ID(i))
-		buf = binary.AppendUvarint(buf, uint64(t.S))
-		buf = binary.AppendUvarint(buf, uint64(t.P))
-		buf = binary.AppendUvarint(buf, uint64(t.O))
-		buf = append(buf, byte(t.Source))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Conf))
-		buf = binary.AppendUvarint(buf, uint64(t.Prov))
+	n := st.Len()
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Triple(store.ID(i)).Conf))
+	}
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(st.Triple(store.ID(i)).S))
+	}
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(st.Triple(store.ID(i)).P))
+	}
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(st.Triple(store.ID(i)).O))
+	}
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(st.Triple(store.ID(i)).Prov))
+	}
+	for i := 0; i < n; i++ {
+		buf = append(buf, byte(st.Triple(store.ID(i)).Source))
 	}
 	return buf
 }
 
-func decodeTriples(payload []byte, st *store.Store) error {
-	r := &byteReader{data: payload}
-	count, err := r.count("triples", 13)
-	if err != nil {
-		return err
-	}
-	dict, prov := st.Dict(), st.Prov()
-	for i := 0; i < count; i++ {
-		s, err1 := r.uvarint()
-		p, err2 := r.uvarint()
-		o, err3 := r.uvarint()
-		src, err4 := r.u8()
-		bits, err5 := r.u64()
-		pv, err6 := r.uvarint()
-		if err := firstErr(err1, err2, err3, err4, err5, err6); err != nil {
-			return corruptf("triple %d truncated: %v", i, err)
-		}
-		t := rdf.Triple{
-			S:      rdf.TermID(s),
-			P:      rdf.TermID(p),
-			O:      rdf.TermID(o),
-			Source: rdf.Source(src),
-			Conf:   math.Float64frombits(bits),
-			Prov:   rdf.ProvID(pv),
-		}
-		if !dict.Valid(t.S) || !dict.Valid(t.P) || !dict.Valid(t.O) {
-			return corruptf("triple %d references a term outside the dictionary", i)
-		}
-		if src > uint8(rdf.SourceXKG) {
-			return corruptf("triple %d has unknown source %d", i, src)
-		}
-		if !(t.Conf > 0 && t.Conf <= 1) {
-			return corruptf("triple %d confidence %v outside (0, 1]", i, t.Conf)
-		}
-		if t.Prov != rdf.NoProv && int(t.Prov) > prov.Len() {
-			return corruptf("triple %d references provenance record %d of %d", i, t.Prov, prov.Len())
-		}
-		if id := st.Add(t); int(id) != i {
-			return corruptf("triple %d duplicates triple %d", i, id)
-		}
-	}
-	return r.done()
-}
-
+// appendIndex encodes one permutation index as three fixed-width columns.
 func appendIndex(buf []byte, c store.IndexColumns) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(c.IDs)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.IDs)))
 	for _, id := range c.IDs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	}
@@ -518,9 +499,73 @@ func appendIndex(buf []byte, c store.IndexColumns) []byte {
 	return buf
 }
 
+// triplesLen and indexLen are the exact payload sizes for n records; the
+// decoders reject any section whose length disagrees, so a count lie can
+// never cause over-allocation or an out-of-bounds column view.
+func triplesLen(n uint64) uint64 { return 8 + 25*n }
+func indexLen(n uint64) uint64   { return 8 + 12*n }
+
+// triplesN validates a triple-section payload and returns its record count.
+func triplesN(payload []byte) (int, error) {
+	if len(payload) < 8 {
+		return 0, corruptf("triple section truncated (%d bytes)", len(payload))
+	}
+	n := binary.LittleEndian.Uint64(payload)
+	if uint64(len(payload)) != triplesLen(n) {
+		return 0, corruptf("triple section claims %d records in %d bytes (want %d)", n, len(payload), triplesLen(n))
+	}
+	return int(n), nil
+}
+
+// indexN validates an index-section payload and returns its entry count.
+func indexN(payload []byte) (int, error) {
+	if len(payload) < 8 {
+		return 0, corruptf("index section truncated (%d bytes)", len(payload))
+	}
+	n := binary.LittleEndian.Uint64(payload)
+	if uint64(len(payload)) != indexLen(n) {
+		return 0, corruptf("index section claims %d entries in %d bytes (want %d)", n, len(payload), indexLen(n))
+	}
+	return int(n), nil
+}
+
+// decodeTriples decodes the columnar triple section into the store,
+// validating each record with the same store.ValidateTriple the mapped
+// open runs.
+func decodeTriples(payload []byte, st *store.Store) error {
+	n, err := triplesN(payload)
+	if err != nil {
+		return err
+	}
+	conf := payload[8:]
+	s := payload[8+8*n:]
+	p := payload[8+12*n:]
+	o := payload[8+16*n:]
+	pv := payload[8+20*n:]
+	src := payload[8+24*n:]
+	dict, prov := st.Dict(), st.Prov()
+	for i := 0; i < n; i++ {
+		t := rdf.Triple{
+			S:      rdf.TermID(binary.LittleEndian.Uint32(s[4*i:])),
+			P:      rdf.TermID(binary.LittleEndian.Uint32(p[4*i:])),
+			O:      rdf.TermID(binary.LittleEndian.Uint32(o[4*i:])),
+			Source: rdf.Source(src[i]),
+			Conf:   math.Float64frombits(binary.LittleEndian.Uint64(conf[8*i:])),
+			Prov:   rdf.ProvID(binary.LittleEndian.Uint32(pv[4*i:])),
+		}
+		if err := store.ValidateTriple(t, dict, prov); err != nil {
+			return corruptf("triple %d: %v", i, err)
+		}
+		if id := st.Add(t); int(id) != i {
+			return corruptf("triple %d duplicates triple %d", i, id)
+		}
+	}
+	return nil
+}
+
+// decodeIndex decodes one columnar index section into heap columns.
 func decodeIndex(payload []byte) (store.IndexColumns, error) {
-	r := &byteReader{data: payload}
-	n, err := r.count("index entries", 12)
+	n, err := indexN(payload)
 	if err != nil {
 		return store.IndexColumns{}, err
 	}
@@ -529,29 +574,13 @@ func decodeIndex(payload []byte) (store.IndexColumns, error) {
 		K1:  make([]rdf.TermID, n),
 		K2:  make([]rdf.TermID, n),
 	}
-	for i := range c.IDs {
-		v, err := r.u32()
-		if err != nil {
-			return store.IndexColumns{}, err
-		}
-		c.IDs[i] = store.ID(v)
-	}
-	for i := range c.K1 {
-		v, err := r.u32()
-		if err != nil {
-			return store.IndexColumns{}, err
-		}
-		c.K1[i] = rdf.TermID(v)
-	}
-	for i := range c.K2 {
-		v, err := r.u32()
-		if err != nil {
-			return store.IndexColumns{}, err
-		}
-		c.K2[i] = rdf.TermID(v)
-	}
-	if err := r.done(); err != nil {
-		return store.IndexColumns{}, err
+	ids := payload[8:]
+	k1 := payload[8+4*n:]
+	k2 := payload[8+8*n:]
+	for i := 0; i < n; i++ {
+		c.IDs[i] = store.ID(binary.LittleEndian.Uint32(ids[4*i:]))
+		c.K1[i] = rdf.TermID(binary.LittleEndian.Uint32(k1[4*i:]))
+		c.K2[i] = rdf.TermID(binary.LittleEndian.Uint32(k2[4*i:]))
 	}
 	return c, nil
 }
@@ -579,7 +608,7 @@ func decodeRules(payload []byte) ([]*relax.Rule, error) {
 		origin, err2 := r.str("rule origin")
 		text, err3 := r.str("rule text")
 		bits, err4 := r.u64()
-		if err := firstErr(err1, err2, err3, err4); err != nil {
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
 			return nil, err
 		}
 		rule, perr := relax.ParseRule(id, text, math.Float64frombits(bits), origin)
@@ -599,15 +628,6 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // byteReader is a bounds-checked cursor over one section payload. Every
 // read that would pass the end returns ErrCorrupt, and count() validates
 // a declared record count against the bytes actually present before the
@@ -625,15 +645,6 @@ func (r *byteReader) u8() (uint8, error) {
 	}
 	v := r.data[r.off]
 	r.off++
-	return v, nil
-}
-
-func (r *byteReader) u32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, corruptf("payload truncated")
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
 	return v, nil
 }
 

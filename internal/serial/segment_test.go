@@ -2,10 +2,9 @@ package serial
 
 // Segment snapshot contract: a frozen store round-trips losslessly
 // through the binary format (triples with source/confidence/provenance,
-// dictionary, eager permutation indexes, rules), an index-version
-// mismatch falls back to rebuild-by-sort instead of failing, and every
-// single-bit flip or truncation of the file surfaces as ErrCorrupt —
-// never a panic, never a silently partial store.
+// dictionary, eager permutation indexes, rules), and every single-bit
+// flip, truncation or length-field lie in the file surfaces as
+// ErrCorrupt — never a panic, never a silently partial store.
 
 import (
 	"bytes"
@@ -15,6 +14,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"trinit/internal/rdf"
@@ -112,8 +112,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Epoch != 3 || snap.IndexesRebuilt {
-		t.Fatalf("epoch=%d rebuilt=%v, want epoch 3 with eager indexes", snap.Epoch, snap.IndexesRebuilt)
+	if snap.Epoch != 3 {
+		t.Fatalf("epoch=%d, want 3", snap.Epoch)
 	}
 	if !snap.Store.Frozen() {
 		t.Fatal("decoded store not frozen")
@@ -130,35 +130,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotForceRebuildMatchesEagerLoad(t *testing.T) {
-	st, rules := segStore(t, 50)
-	data := encodeSeg(t, st, rules, 1)
-	snap, err := DecodeSnapshotForceRebuild(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.IndexesRebuilt {
-		t.Fatal("force-rebuild did not report a rebuild")
-	}
-	sameStore(t, st, snap.Store)
-}
-
 // TestSnapshotOldIndexVersionRebuilds: a file stamped with an older
-// index-format version still loads — the permutation indexes are
-// re-sorted from the triple column instead of trusted eagerly.
+// index format version is no longer rebuilt by re-sorting the triple
+// column. Every reader refuses it as corrupt and loads no store, while
+// the same bytes at the current version still decode.
 func TestSnapshotOldIndexVersionRebuilds(t *testing.T) {
 	st, rules := segStore(t, 20)
 	data := encodeSeg(t, st, rules, 1)
-	binary.LittleEndian.PutUint32(data[12:], store.IndexFormatVersion-1)
-	binary.LittleEndian.PutUint32(data[28:], crc32.Checksum(data[:28], castagnoli))
-	snap, err := DecodeSnapshot(data)
-	if err != nil {
+	if _, err := DecodeSnapshot(data); err != nil {
 		t.Fatal(err)
 	}
-	if !snap.IndexesRebuilt {
-		t.Fatal("older index version should force a rebuild")
-	}
-	sameStore(t, st, snap.Store)
+	openMappedFile(t, writeSegFile(t, data)).Close()
+
+	binary.LittleEndian.PutUint32(data[12:], store.IndexFormatVersion-1)
+	binary.LittleEndian.PutUint32(data[28:], crc32.Checksum(data[:28], castagnoli))
+	refusedByBoth(t, data, fmt.Sprintf("unsupported index format version %d", store.IndexFormatVersion-1))
 }
 
 // TestSnapshotBitFlips: flipping any single bit of the encoded file
@@ -206,24 +192,25 @@ func TestSnapshotTruncations(t *testing.T) {
 func TestSnapshotLengthLies(t *testing.T) {
 	st, rules := segStore(t, 4)
 	data := encodeSeg(t, st, rules, 1)
-	// The first section header starts at byte 28: id at 28, u64 length at
-	// 29. Claim near-max length.
+	// The first section frame follows the header: id, three zero bytes,
+	// the u32 payload CRC, then the u64 length. Claim near-max length.
 	lie := bytes.Clone(data)
-	binary.LittleEndian.PutUint64(lie[29:], 1<<60)
-	if _, err := DecodeSnapshot(lie); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("length lie accepted: %v", err)
+	binary.LittleEndian.PutUint64(lie[headerSize+8:], 1<<60)
+	if _, err := DecodeSnapshot(lie); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "claims") {
+		t.Fatalf("length lie: %v", err)
 	}
 	// A dict count lie inside the payload: huge uvarint count, tiny
 	// payload. Rebuild the section frame so the CRC is valid — the count
 	// check itself must reject it.
 	payload := binary.AppendUvarint(nil, 1<<40)
-	frame := []byte{secDict}
-	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-	lie2 := append(bytes.Clone(data[:28]), frame...)
-	if _, err := DecodeSnapshot(lie2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("count lie accepted: %v", err)
+	padded := append(bytes.Clone(payload), make([]byte, pad(len(payload))-len(payload))...)
+	frame := make([]byte, frameSize)
+	frame[0] = secDict
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(padded, castagnoli))
+	binary.LittleEndian.PutUint64(frame[8:], uint64(len(payload)))
+	lie2 := append(append(bytes.Clone(data[:headerSize]), frame...), padded...)
+	if _, err := DecodeSnapshot(lie2); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "exceeds payload capacity") {
+		t.Fatalf("count lie: %v", err)
 	}
 }
 

@@ -4,7 +4,7 @@ package store
 // indexes are zero-copy views into a memory-mapped segment file.
 //
 // The serial layer hands NewMapped the column views it cast out of a
-// verified v2 segment. NewMapped re-validates everything it will trust at
+// verified segment. NewMapped re-validates everything it will trust at
 // query time — triple fields against the dictionary and provenance table,
 // and the three permutation indexes via the same checkIndex pass an eager
 // snapshot load runs — so a crafted file with recomputed checksums is
@@ -96,17 +96,8 @@ func NewMapped(dict *rdf.Dict, prov *rdf.ProvTable, cols *MappedColumns, idx Ind
 	}
 	for i := 0; i < n; i++ {
 		t := st.baseTriple(ID(i))
-		if !dict.Valid(t.S) || !dict.Valid(t.P) || !dict.Valid(t.O) {
-			return nil, fmt.Errorf("store: mapped triple %d references a term outside the dictionary", i)
-		}
-		if uint8(t.Source) > uint8(rdf.SourceXKG) {
-			return nil, fmt.Errorf("store: mapped triple %d has unknown source %d", i, t.Source)
-		}
-		if !(t.Conf > 0 && t.Conf <= 1) {
-			return nil, fmt.Errorf("store: mapped triple %d confidence %v outside (0, 1]", i, t.Conf)
-		}
-		if t.Prov != rdf.NoProv && int(t.Prov) > prov.Len() {
-			return nil, fmt.Errorf("store: mapped triple %d references provenance record %d of %d", i, t.Prov, prov.Len())
+		if err := ValidateTriple(t, dict, prov); err != nil {
+			return nil, fmt.Errorf("store: mapped triple %d: %w", i, err)
 		}
 		st.countSource(t.Source, +1)
 	}
@@ -125,6 +116,27 @@ func NewMapped(dict *rdf.Dict, prov *rdf.ProvTable, cols *MappedColumns, idx Ind
 	st.spo, st.pos, st.osp = spo, pos, osp
 	st.frozen = true
 	return st, nil
+}
+
+// ValidateTriple checks a decoded triple against the dictionary and
+// provenance table it will be served with: every term must be in the
+// dictionary, the source known, the confidence in (0, 1], and the
+// provenance reference (if any) in range. Both segment decoders, eager
+// and mapped, run it on every record before trusting a file's triples.
+func ValidateTriple(t rdf.Triple, dict *rdf.Dict, prov *rdf.ProvTable) error {
+	if !dict.Valid(t.S) || !dict.Valid(t.P) || !dict.Valid(t.O) {
+		return fmt.Errorf("references a term outside the dictionary")
+	}
+	if uint8(t.Source) > uint8(rdf.SourceXKG) {
+		return fmt.Errorf("has unknown source %d", t.Source)
+	}
+	if !(t.Conf > 0 && t.Conf <= 1) {
+		return fmt.Errorf("confidence %v outside (0, 1]", t.Conf)
+	}
+	if t.Prov != rdf.NoProv && int(t.Prov) > prov.Len() {
+		return fmt.Errorf("references provenance record %d of %d", t.Prov, prov.Len())
+	}
+	return nil
 }
 
 // Mapped reports whether the store's base triples are served from mapped

@@ -19,8 +19,8 @@ import (
 
 // IndexFormatVersion identifies the on-disk layout and sort order of the
 // permutation indexes. Bump it whenever buildPermIndex's output changes
-// (column layout, comparator, ID width): snapshots written under an older
-// version then skip eager index loading and rebuild from the triple column.
+// (column layout, comparator, ID width): snapshots written under another
+// version are then refused as unsupported.
 const IndexFormatVersion = 1
 
 // IndexColumns is the raw columnar content of one permutation index.
@@ -60,7 +60,7 @@ func (st *Store) IndexSnapshot() IndexSnapshot {
 // order — so a snapshot that decodes cleanly but carries a wrong index
 // (version skew, a crafted file with recomputed checksums) is rejected
 // rather than silently serving wrong ranges. On error the store is left
-// unfrozen and unchanged; the caller can fall back to Freeze.
+// unfrozen and unchanged.
 func (st *Store) FreezeWithIndexes(snap IndexSnapshot) error {
 	if st.frozen {
 		return fmt.Errorf("store: FreezeWithIndexes on a frozen store")

@@ -4,7 +4,7 @@ package trinit
 //
 //   - TestMmapDifferential is the acceptance gate: the full 70-query
 //     synthetic workload through an engine served zero-copy from a
-//     mapped v2 segment and through the eagerly decoded engine must
+//     mapped segment and through the eagerly decoded engine must
 //     each rank like the reference evaluator, and the mapped engine must
 //     be byte-identical — answers, explanations, suggestions, notices —
 //     to the eager one AND to the never-persisted oracle, in both
@@ -36,7 +36,7 @@ func loadSnapshotEngine(t *testing.T, path string, opts *Options) *Engine {
 
 // requireMapped skips the calling test on hosts where zero-copy serving
 // is unavailable (non-unix, big-endian); everywhere else a non-mapped
-// load of a v2 segment is a hard failure, not a skip.
+// load of a segment is a hard failure, not a skip.
 func requireMapped(t *testing.T, e *Engine) {
 	t.Helper()
 	ms := e.MemoryStats()
@@ -58,20 +58,21 @@ func TestMmapDifferential(t *testing.T) {
 
 	for _, km := range kernelModes {
 		exhaustive := km.mode == topk.Exhaustive
+		mode := ModeIncremental
+		if exhaustive {
+			mode = ModeExhaustive
+		}
 		t.Run(km.name, func(t *testing.T) {
-			mkOpts := func(noMap bool) *Options {
-				return &Options{NoMapSegments: noMap, Exhaustive: exhaustive}
-			}
-			eager := loadSnapshotEngine(t, snap, mkOpts(true))
+			eager := loadSnapshotEngine(t, snap, &Options{NoMapSegments: true})
 			if eager.MemoryStats().Mapped {
 				t.Fatal("NoMapSegments engine is mapped")
 			}
-			mapped := loadSnapshotEngine(t, snap, mkOpts(false))
+			mapped := loadSnapshotEngine(t, snap, nil)
 			requireMapped(t, mapped)
 
 			for qi, wq := range queries {
 				for _, p := range []int{1, 4} {
-					var opts []QueryOption
+					opts := []QueryOption{WithMode(mode)}
 					if p > 1 {
 						opts = append(opts, WithParallelism(p))
 					}

@@ -102,9 +102,6 @@ type Options struct {
 	// MinTokenSimilarity is the threshold for textual token slots to
 	// match a term (default 0.34).
 	MinTokenSimilarity float64
-	// Exhaustive disables the incremental top-k optimisations; answers
-	// are identical, work is not. Meant for baselines and testing.
-	Exhaustive bool
 	// MatchCacheSize caps the engine's shared match-list cache, in
 	// pattern entries (default 4096). Least-recently-used lists are
 	// evicted beyond the cap.
@@ -991,9 +988,9 @@ func (r *Result) Explain(i int) (Explanation, error) {
 type QueryMode int
 
 const (
-	// ModeDefault keeps the engine's configured mode.
+	// ModeDefault is the engine's mode: the incremental strategy.
 	ModeDefault QueryMode = iota
-	// ModeIncremental forces the paper's adaptive top-k strategy.
+	// ModeIncremental is the paper's adaptive top-k strategy.
 	ModeIncremental
 	// ModeExhaustive forces full evaluation of every rewrite — the
 	// correctness baseline; identical answers, more work.
@@ -1259,10 +1256,7 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 	if !budgetLimited(cfg.budget) {
 		rcfg.Budget = defBudget
 	}
-	switch cfg.mode {
-	case ModeIncremental:
-		rcfg.Mode, rcfg.ModeSet = topk.Incremental, true
-	case ModeExhaustive:
+	if cfg.mode == ModeExhaustive {
 		rcfg.Mode, rcfg.ModeSet = topk.Exhaustive, true
 	}
 	if fn != nil {
@@ -1695,13 +1689,8 @@ func (e *Engine) Reshard(n int) error {
 // the one configuration every executor (pooled, per-shard, resharded)
 // is built from.
 func (e *Engine) topkOptions() topk.Options {
-	mode := topk.Incremental
-	if e.opts.Exhaustive {
-		mode = topk.Exhaustive
-	}
 	return topk.Options{
 		K:           e.opts.K,
-		Mode:        mode,
 		MinTokenSim: e.opts.MinTokenSimilarity,
 		Parallelism: e.opts.Parallelism,
 	}

@@ -2,6 +2,7 @@ package trinit
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -299,29 +300,26 @@ func TestSyntheticEngineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExhaustiveOptionMatchesIncremental: on one engine, the per-query
+// WithMode(ModeExhaustive) ranks the full synthetic workload exactly like
+// the default incremental mode — answers, scores, explanations,
+// suggestions and notices byte for byte — and never skips a rewrite.
 func TestExhaustiveOptionMatchesIncremental(t *testing.T) {
-	inc := NewDemoEngine()
-	exhOpts := (*Options)(nil).withDefaults()
-	exhOpts.Exhaustive = true
-	exh := &Engine{opts: exhOpts, st: inc.st, frozen: true}
-	exh.setRules(inc.rules)
-
-	for _, dq := range DemoQueries() {
-		a, err := inc.Query(dq.Query)
+	e, queries := syntheticWorkload(t)
+	for _, q := range queries {
+		inc, err := e.QueryContext(context.Background(), q.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := exh.Query(dq.Query)
+		exh, err := e.QueryContext(context.Background(), q.Text, WithMode(ModeExhaustive))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Answers) != len(b.Answers) {
-			t.Fatalf("user %s: %d vs %d answers", dq.User, len(a.Answers), len(b.Answers))
+		if a, b := renderMmap(t, inc), renderMmap(t, exh); a != b {
+			t.Fatalf("%s: exhaustive differs from incremental\n exhaustive:  %s\n incremental: %s", q.ID, b, a)
 		}
-		for i := range a.Answers {
-			if a.Answers[i].Score != b.Answers[i].Score {
-				t.Fatalf("user %s answer %d: score %v vs %v", dq.User, i, a.Answers[i].Score, b.Answers[i].Score)
-			}
+		if exh.Metrics.RewritesSkipped != 0 {
+			t.Fatalf("%s: exhaustive mode skipped %d rewrites", q.ID, exh.Metrics.RewritesSkipped)
 		}
 	}
 }

@@ -18,13 +18,16 @@ import (
 
 	"trinit/internal/dataset"
 	"trinit/internal/experiments"
+	"trinit/internal/ned"
 	"trinit/internal/openie"
 	"trinit/internal/query"
 	"trinit/internal/rdf"
 	"trinit/internal/relax"
 	"trinit/internal/score"
+	"trinit/internal/store"
 	"trinit/internal/suggest"
 	"trinit/internal/topk"
+	"trinit/internal/xkg"
 )
 
 var (
@@ -100,6 +103,34 @@ func BenchmarkE4XKGConstruction(b *testing.B) {
 			b.Fatal("no XKG triples")
 		}
 	}
+}
+
+// BenchmarkXKGBuild measures the two halves of the benchmark set-up's
+// xkg_build stage on dataset.BenchConfig at scale 1 (≈45k triples):
+// "build" loads the KG, builds the linker and runs xkg.Build over the
+// corpus; "freeze" freezes the finished store (permutation indexes,
+// token index, per-term token sets, predicate statistics).
+func BenchmarkXKGBuild(b *testing.B) {
+	w := dataset.Generate(dataset.BenchConfig())
+	build := func() *store.Store {
+		st := store.New(nil, nil)
+		w.PopulateKG(st)
+		xkg.Build(st, ned.NewLinker(st), w.Docs(), xkg.DefaultOptions())
+		return st
+	}
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			build()
+		}
+	})
+	b.Run("freeze", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st := build()
+			b.StartTimer()
+			st.Freeze()
+		}
+	})
 }
 
 // BenchmarkE5TopKIncremental and ...Exhaustive measure the §4 efficiency

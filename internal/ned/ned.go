@@ -9,6 +9,8 @@
 package ned
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -81,10 +83,12 @@ func (l *Linker) build() {
 		l.addContext(t.O, dict.Term(t.S).Text)
 		l.addContext(t.O, dict.Term(t.P).Text)
 	}
-	for id, deg := range degree {
+	// Ascending entity order fixes the order of every alias's candidate
+	// list, so Candidates and Link see the same list on every build.
+	for _, id := range slices.Sorted(maps.Keys(degree)) {
 		label := dict.Term(id).Text
 		toks := text.ContentTokens(label)
-		prior := float64(deg) / float64(maxDegree)
+		prior := float64(degree[id]) / float64(maxDegree)
 		full := strings.Join(toks, " ")
 		l.addAlias(full, id, 1.0, prior)
 		// Partial aliases: each individual label token refers to the
@@ -119,45 +123,85 @@ func (l *Linker) addAlias(alias string, id rdf.TermID, weight, prior float64) {
 	l.aliases[alias] = append(l.aliases[alias], candidate{entity: id, aliasWeight: weight, prior: prior})
 }
 
-// Candidates returns all candidates for the mention, scored and sorted
-// descending. context is the sentence the mention occurred in (may be
-// empty). Score = aliasWeight × (0.5 + 0.5·prior) × (0.8 + 0.4·
-// overlap(context, entity neighbourhood)), clipped to (0, 1].
+// score is a candidate's linking score against a sentence's content-token
+// set: aliasWeight × (0.5 + 0.5·prior) × (0.8 + 0.4·overlap(context,
+// entity neighbourhood)), clipped to (0, 1]. An empty context gives the
+// neutral boost 0.8.
+func (l *Linker) score(c candidate, ctx text.TokenSet) float64 {
+	base := c.aliasWeight * (0.5 + 0.5*c.prior)
+	ctxBoost := 0.8
+	if len(ctx) > 0 {
+		ctxBoost = 0.8 + 0.4*text.Overlap(ctx, l.context[c.entity])
+	}
+	score := base * ctxBoost
+	if score > 1 {
+		score = 1
+	}
+	return score
+}
+
+// candidates returns the alias candidates of a mention.
+func (l *Linker) candidates(mention string) []candidate {
+	return l.aliases[text.Normalize(mention)]
+}
+
+// Candidates returns all candidates for the mention, scored and sorted by
+// score descending, ties by ascending entity ID. context is the sentence
+// the mention occurred in (may be empty).
 func (l *Linker) Candidates(mention, context string) []Candidate {
-	norm := strings.Join(text.ContentTokens(mention), " ")
-	cands := l.aliases[norm]
+	cands := l.candidates(mention)
 	if len(cands) == 0 {
 		return nil
 	}
 	ctx := text.NewTokenSet(context)
 	out := make([]Candidate, 0, len(cands))
 	for _, c := range cands {
-		base := c.aliasWeight * (0.5 + 0.5*c.prior)
-		ctxBoost := 0.8
-		if len(ctx) > 0 {
-			ctxBoost = 0.8 + 0.4*text.Overlap(ctx, l.context[c.entity])
-		}
-		score := base * ctxBoost
-		if score > 1 {
-			score = 1
-		}
-		out = append(out, Candidate{Entity: c.entity, Score: score})
+		out = append(out, Candidate{Entity: c.entity, Score: l.score(c, ctx)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Entity < out[j].Entity
-	})
+	sort.Slice(out, func(i, j int) bool { return better(out[i], out[j]) })
 	return out
 }
 
-// Link resolves a mention to its best entity. ok is false when no candidate
-// reaches MinScore, in which case the mention should remain a token phrase.
+// better is the candidate order: score descending, ties by ascending
+// entity ID.
+func better(a, b Candidate) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Entity < b.Entity
+}
+
+// Link resolves a mention to its best entity, the head of Candidates. ok
+// is false when no candidate reaches MinScore, in which case the mention
+// should remain a token phrase.
 func (l *Linker) Link(mention, context string) (entity rdf.TermID, score float64, ok bool) {
-	cands := l.Candidates(mention, context)
-	if len(cands) == 0 || cands[0].Score < l.MinScore {
+	cands := l.candidates(mention)
+	if len(cands) == 0 {
 		return rdf.NoTerm, 0, false
 	}
-	return cands[0].Entity, cands[0].Score, true
+	return l.best(cands, text.NewTokenSet(context))
+}
+
+// LinkTokens is Link against a context already tokenised with
+// text.NewTokenSet, for callers that link several mentions of one
+// sentence. The linker is read-only, so LinkTokens (like Link and
+// Candidates) is safe for concurrent use.
+func (l *Linker) LinkTokens(mention string, ctx text.TokenSet) (entity rdf.TermID, score float64, ok bool) {
+	return l.best(l.candidates(mention), ctx)
+}
+
+// best picks the head of the candidate order in one pass, without
+// building or sorting the scored list.
+func (l *Linker) best(cands []candidate, ctx text.TokenSet) (rdf.TermID, float64, bool) {
+	var top Candidate
+	for i, c := range cands {
+		cur := Candidate{Entity: c.entity, Score: l.score(c, ctx)}
+		if i == 0 || better(cur, top) {
+			top = cur
+		}
+	}
+	if len(cands) == 0 || top.Score < l.MinScore {
+		return rdf.NoTerm, 0, false
+	}
+	return top.Entity, top.Score, true
 }

@@ -193,26 +193,26 @@ func TagSentence(sentence string) []TaggedToken {
 // hyphens and apostrophes, dropping other punctuation.
 func tokenizeWords(s string) []string {
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range s {
+	// A word is a contiguous run of s and is sliced out of it.
+	start := -1
+	for i, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9':
-			cur.WriteRune(r)
-		case r == '-' || r == '\'':
-			if cur.Len() > 0 {
-				cur.WriteRune(r)
+			if start < 0 {
+				start = i
 			}
+		case r == '-' || r == '\'':
+			// Kept inside a word, dropped before one.
 		default:
-			flush()
+			if start >= 0 {
+				out = append(out, s[start:i])
+				start = -1
+			}
 		}
 	}
-	flush()
+	if start >= 0 {
+		out = append(out, s[start:])
+	}
 	// Trim trailing hyphens/apostrophes left by the permissive branch.
 	for i, w := range out {
 		out[i] = strings.TrimRight(w, "-'")
@@ -224,25 +224,19 @@ func tokenizeWords(s string) []string {
 // small abbreviation guard ("Prof.", "Dr.", initials).
 func SplitSentences(text string) []string {
 	var out []string
-	var cur strings.Builder
-	words := 0
-	flush := func() {
-		s := strings.TrimSpace(cur.String())
-		if s != "" {
+	runes := []rune(text)
+	start := 0
+	// flush ends the current sentence before runes[end].
+	flush := func(end int) {
+		if s := strings.TrimSpace(string(runes[start:end])); s != "" {
 			out = append(out, s)
 		}
-		cur.Reset()
-		words = 0
+		start = end
 	}
-	runes := []rune(text)
 	for i := 0; i < len(runes); i++ {
 		r := runes[i]
-		cur.WriteRune(r)
-		if r == ' ' {
-			words++
-		}
 		if r == '!' || r == '?' {
-			flush()
+			flush(i + 1)
 			continue
 		}
 		if r == '.' {
@@ -258,10 +252,10 @@ func SplitSentences(text string) []string {
 			if j < len(runes) && runes[j] >= 'a' && runes[j] <= 'z' {
 				continue
 			}
-			flush()
+			flush(i + 1)
 		}
 	}
-	flush()
+	flush(len(runes))
 	return out
 }
 

@@ -12,8 +12,11 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"trinit/internal/rdf"
 	"trinit/internal/text"
@@ -300,35 +303,54 @@ func (ix *permIndex) searchRange(a, b rdf.TermID, both bool) (lo, hi int) {
 	return lo, hi
 }
 
-// buildPermIndex sorts the triple IDs with less and materialises the two
-// leading key columns selected by keys.
-func (st *Store) buildPermIndex(less func(a, b ID) bool, keys func(t rdf.Triple) (rdf.TermID, rdf.TermID)) permIndex {
-	n := len(st.triples)
+// permRow is one triple's full key in a permutation's column order,
+// packed for sorting: hi holds the two leading keys, lo the third key and
+// the triple ID.
+type permRow struct{ hi, lo uint64 }
+
+// buildPermIndex sorts the triple IDs under the permutation's key order
+// and materialises its two leading key columns. Keys are unique, so the
+// order is total and the result does not depend on the sort algorithm.
+func (st *Store) buildPermIndex(which permKind) permIndex {
+	rows := make([]permRow, len(st.triples))
+	for i, t := range st.triples {
+		a, b, c := permKeys(t, which)
+		rows[i] = permRow{hi: uint64(a)<<32 | uint64(b), lo: uint64(c)<<32 | uint64(i)}
+	}
+	slices.SortFunc(rows, func(x, y permRow) int {
+		if x.hi != y.hi {
+			return cmp.Compare(x.hi, y.hi)
+		}
+		return cmp.Compare(x.lo, y.lo)
+	})
+	n := len(rows)
 	ix := permIndex{
 		ids: make([]ID, n),
 		k1:  make([]rdf.TermID, n),
 		k2:  make([]rdf.TermID, n),
 	}
-	for i := range ix.ids {
-		ix.ids[i] = ID(i)
-	}
-	sort.Slice(ix.ids, func(a, b int) bool { return less(ix.ids[a], ix.ids[b]) })
-	for i, id := range ix.ids {
-		ix.k1[i], ix.k2[i] = keys(st.triples[id])
+	for i, r := range rows {
+		ix.ids[i] = ID(uint32(r.lo))
+		ix.k1[i], ix.k2[i] = rdf.TermID(r.hi>>32), rdf.TermID(uint32(r.hi))
 	}
 	return ix
 }
 
 // Freeze builds the permutation and token indexes, the per-term token
 // sets, and the predicate statistics. After Freeze the store is immutable
-// and safe for concurrent reads. Freeze is idempotent.
+// and safe for concurrent reads. Freeze is idempotent. The three
+// permutation indexes only read the triples, so they are sorted
+// concurrently.
 func (st *Store) Freeze() {
 	if st.frozen {
 		return
 	}
-	st.spo = st.buildPermIndex(st.lessSPO, func(t rdf.Triple) (rdf.TermID, rdf.TermID) { return t.S, t.P })
-	st.pos = st.buildPermIndex(st.lessPOS, func(t rdf.Triple) (rdf.TermID, rdf.TermID) { return t.P, t.O })
-	st.osp = st.buildPermIndex(st.lessOSP, func(t rdf.Triple) (rdf.TermID, rdf.TermID) { return t.O, t.S })
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); st.spo = st.buildPermIndex(permSPO) }()
+	go func() { defer wg.Done(); st.pos = st.buildPermIndex(permPOS) }()
+	st.osp = st.buildPermIndex(permOSP)
+	wg.Wait()
 	st.finishFreeze()
 }
 

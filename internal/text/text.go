@@ -15,34 +15,40 @@ import (
 // and token phrases become comparable ("albert", "einstein").
 func Tokenize(s string) []string {
 	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, strings.ToLower(cur.String()))
-			cur.Reset()
+	// A token is a contiguous run of s and is sliced out of it; ToLower
+	// allocates only when the run has upper case.
+	start := -1
+	flush := func(end int) {
+		if start >= 0 {
+			toks = append(toks, strings.ToLower(s[start:end]))
+			start = -1
 		}
 	}
 	var prev rune
-	for _, r := range s {
+	for i, r := range s {
 		switch {
 		case unicode.IsLetter(r):
 			// Split CamelCase: boundary when an upper-case letter
 			// follows a lower-case letter or digit.
 			if unicode.IsUpper(r) && (unicode.IsLower(prev) || unicode.IsDigit(prev)) {
-				flush()
+				flush(i)
 			}
-			cur.WriteRune(r)
+			if start < 0 {
+				start = i
+			}
 		case unicode.IsDigit(r):
 			if unicode.IsLetter(prev) {
-				flush()
+				flush(i)
 			}
-			cur.WriteRune(r)
+			if start < 0 {
+				start = i
+			}
 		default:
-			flush()
+			flush(i)
 		}
 		prev = r
 	}
-	flush()
+	flush(len(s))
 	return toks
 }
 
@@ -65,14 +71,20 @@ func IsStopword(tok string) bool { return stopwords[tok] }
 // 'of' never normalise to nothing.
 func ContentTokens(s string) []string {
 	all := Tokenize(s)
-	var content []string
+	n := 0
+	for _, t := range all {
+		if !stopwords[t] {
+			n++
+		}
+	}
+	if n == 0 || n == len(all) {
+		return all
+	}
+	content := make([]string, 0, n)
 	for _, t := range all {
 		if !stopwords[t] {
 			content = append(content, t)
 		}
-	}
-	if len(content) == 0 {
-		return all
 	}
 	return content
 }
@@ -98,17 +110,27 @@ func Jaccard(a, b TokenSet) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
-	inter := 0
-	for t := range a {
-		if b[t] {
-			inter++
-		}
-	}
+	inter := intersection(a, b)
 	union := len(a) + len(b) - inter
 	if union == 0 {
 		return 0
 	}
 	return float64(inter) / float64(union)
+}
+
+// intersection returns |a ∩ b|, probing the larger set with the members
+// of the smaller one.
+func intersection(a, b TokenSet) int {
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	n := 0
+	for t := range a {
+		if b[t] {
+			n++
+		}
+	}
+	return n
 }
 
 // Overlap returns |a ∩ b| / min(|a|, |b|), the overlap coefficient, and 0
@@ -119,12 +141,7 @@ func Overlap(a, b TokenSet) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	inter := 0
-	for t := range a {
-		if b[t] {
-			inter++
-		}
-	}
+	inter := intersection(a, b)
 	min := len(a)
 	if len(b) < min {
 		min = len(b)

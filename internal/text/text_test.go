@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -136,6 +137,58 @@ func TestSimilarityProperties(t *testing.T) {
 		}
 		if self := Similarity(a, a); self != 1 {
 			t.Fatalf("Similarity(%q, itself) = %v, want 1", a, self)
+		}
+	}
+}
+
+// tokenizeRunes is Tokenize as first written, copying each token rune by
+// rune into a builder: the reference the slicing Tokenize must match.
+func tokenizeRunes(s string) []string {
+	var toks []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			toks = append(toks, strings.ToLower(cur.String()))
+			cur.Reset()
+		}
+	}
+	var prev rune
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r):
+			if unicode.IsUpper(r) && (unicode.IsLower(prev) || unicode.IsDigit(prev)) {
+				flush()
+			}
+			cur.WriteRune(r)
+		case unicode.IsDigit(r):
+			if unicode.IsLetter(prev) {
+				flush()
+			}
+			cur.WriteRune(r)
+		default:
+			flush()
+		}
+		prev = r
+	}
+	flush()
+	return toks
+}
+
+// TestTokenizeMatchesRuneBuilder checks Tokenize against the rune-copying
+// reference over random strings from an alphabet of ASCII and non-ASCII
+// letters in every case (title case too), digits, separators, U+FFFD and
+// invalid UTF-8 bytes.
+func TestTokenizeMatchesRuneBuilder(t *testing.T) {
+	alphabet := []string{"a", "Z", "q", "É", "é", "ß", "Σ", "σ", "ǅ", "7", "٣", " ", "-", ".", "_", "\ufffd", "\xff", "\xc3", "İ"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(12); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		s := b.String()
+		if got, want := Tokenize(s), tokenizeRunes(s); !equalStrings(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
 		}
 	}
 }

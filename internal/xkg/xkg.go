@@ -2,13 +2,25 @@
 // over a document collection, links argument phrases to KG entities where
 // possible, and adds the resulting token triples — with confidences and
 // provenance — to the triple store alongside the curated KG.
+//
+// Construction runs in two phases. The first splits, extracts and links
+// every document independently, on runtime.GOMAXPROCS(0) workers; the
+// second applies the corpus-level filters and adds the triples to the
+// store sequentially in document order. The store's contents — term IDs,
+// provenance IDs, triple order — therefore do not depend on the number of
+// workers or their schedule.
 package xkg
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"trinit/internal/ned"
 	"trinit/internal/openie"
 	"trinit/internal/rdf"
 	"trinit/internal/store"
+	"trinit/internal/text"
 )
 
 // Document is one input text with a stable identifier used for provenance.
@@ -49,69 +61,119 @@ type Stats struct {
 	Added       int // distinct token triples added to the store
 }
 
+// extraction is one Open-IE extraction with the entities its subject and
+// object phrases link to (rdf.NoTerm when unlinked).
+type extraction struct {
+	openie.Extraction
+	subj, obj rdf.TermID
+}
+
+// document is phase 1's output for one document.
+type document struct {
+	sentences   int
+	extractions []extraction
+}
+
 // Build extracts token triples from docs and adds them to st. The linker
 // may be nil when Options.LinkEntities is false. Build must be called
 // before the store is frozen.
+//
+// Phase 1 splits, extracts and links each document on its own, spread
+// over runtime.GOMAXPROCS(0) workers: each sentence is tokenised once as
+// the linking context of its extractions, and only extractions that pass
+// MinConf are linked. The linker is only read and the store is not
+// touched. Phase 2 is sequential and in document order: the MinRelPairs
+// filter, provenance, dictionary interning and AddFact. Its output is
+// therefore the same for every worker count; GOMAXPROCS=1 runs phase 1
+// sequentially too.
 func Build(st *store.Store, linker *ned.Linker, docs []Document, opts Options) Stats {
-	var stats Stats
-	stats.Documents = len(docs)
-
-	type located struct {
-		ext openie.Extraction
-		doc string
+	if !opts.LinkEntities {
+		linker = nil
 	}
-	var all []located
-	for _, doc := range docs {
-		sents := openie.SplitSentences(doc.Text)
-		stats.Sentences += len(sents)
-		for _, sent := range sents {
-			for _, e := range openie.ExtractSentence(sent) {
-				all = append(all, located{ext: e, doc: doc.ID})
-			}
-		}
-	}
-	stats.Extractions = len(all)
+	parsed := make([]document, len(docs))
+	forEachDoc(len(docs), func(i int) { parsed[i] = extract(docs[i].Text, linker, opts.MinConf) })
 
-	// Confidence filter first, then the corpus-level lexical filter
+	stats := Stats{Documents: len(docs)}
+	// The confidence filter, then the corpus-level lexical filter
 	// (ReVerb's constraint: keep relation phrases with enough distinct
 	// argument pairs).
-	var conf []located
 	pairs := make(map[string]map[[2]string]bool)
-	for _, l := range all {
-		if l.ext.Conf < opts.MinConf {
-			continue
+	for _, d := range parsed {
+		stats.Sentences += d.sentences
+		stats.Extractions += len(d.extractions)
+		for _, e := range d.extractions {
+			if e.Conf < opts.MinConf {
+				continue
+			}
+			if pairs[e.Rel] == nil {
+				pairs[e.Rel] = make(map[[2]string]bool)
+			}
+			pairs[e.Rel][[2]string{e.Arg1, e.Arg2}] = true
 		}
-		conf = append(conf, l)
-		e := l.ext
-		if pairs[e.Rel] == nil {
-			pairs[e.Rel] = make(map[[2]string]bool)
-		}
-		pairs[e.Rel][[2]string{e.Arg1, e.Arg2}] = true
 	}
 
 	before := st.Len()
-	for _, l := range conf {
-		if opts.MinRelPairs > 1 && len(pairs[l.ext.Rel]) < opts.MinRelPairs {
-			continue
-		}
-		stats.Kept++
-		e := l.ext
-		prov := st.Prov().Add(rdf.Prov{Doc: l.doc, Sentence: e.Sentence})
-
-		s := rdf.Token(e.Arg1)
-		o := rdf.Token(e.Arg2)
-		if opts.LinkEntities && linker != nil {
-			if ent, _, ok := linker.Link(e.Arg1, e.Sentence); ok {
-				s = st.Dict().Term(ent)
+	for i, d := range parsed {
+		for _, e := range d.extractions {
+			if e.Conf < opts.MinConf || (opts.MinRelPairs > 1 && len(pairs[e.Rel]) < opts.MinRelPairs) {
+				continue
+			}
+			stats.Kept++
+			prov := st.Prov().Add(rdf.Prov{Doc: docs[i].ID, Sentence: e.Sentence})
+			s := rdf.Token(e.Arg1)
+			if e.subj != rdf.NoTerm {
+				s = st.Dict().Term(e.subj)
 				stats.LinkedSubj++
 			}
-			if ent, _, ok := linker.Link(e.Arg2, e.Sentence); ok {
-				o = st.Dict().Term(ent)
+			o := rdf.Token(e.Arg2)
+			if e.obj != rdf.NoTerm {
+				o = st.Dict().Term(e.obj)
 				stats.LinkedObj++
 			}
+			st.AddFact(s, rdf.Token(e.Rel), o, rdf.SourceXKG, e.Conf, prov)
 		}
-		st.AddFact(s, rdf.Token(e.Rel), o, rdf.SourceXKG, e.Conf, prov)
 	}
 	stats.Added = st.Len() - before
 	return stats
+}
+
+// extract is phase 1 for one document: split it into sentences, extract,
+// and link the subject and object of every extraction that passes
+// minConf against its sentence, tokenised once. linker may be nil.
+func extract(doc string, linker *ned.Linker, minConf float64) document {
+	sents := openie.SplitSentences(doc)
+	d := document{sentences: len(sents)}
+	for _, sent := range sents {
+		var ctx text.TokenSet
+		for _, e := range openie.ExtractSentence(sent) {
+			x := extraction{Extraction: e}
+			if linker != nil && e.Conf >= minConf {
+				if ctx == nil {
+					ctx = text.NewTokenSet(sent)
+				}
+				x.subj, _, _ = linker.LinkTokens(e.Arg1, ctx)
+				x.obj, _, _ = linker.LinkTokens(e.Arg2, ctx)
+			}
+			d.extractions = append(d.extractions, x)
+		}
+	}
+	return d
+}
+
+// forEachDoc calls fn(i) for every i in [0, n) on min(n,
+// runtime.GOMAXPROCS(0)) goroutines and returns when all calls have.
+func forEachDoc(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), n)
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

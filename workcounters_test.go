@@ -15,7 +15,7 @@ import (
 	"trinit/internal/topk"
 )
 
-var updateWorkCounters = flag.Bool("update", false, "regenerate testdata/workcounters.golden")
+var updateGolden = flag.Bool("update", false, "regenerate the root testdata/*.golden files")
 
 const workCountersGolden = "testdata/workcounters.golden"
 
@@ -60,17 +60,23 @@ func renderWorkCounters(t *testing.T) []byte {
 // noise band: a change that alters work shows the diff in review.
 // Regenerate with go test -run TestWorkCountersGolden -update.
 func TestWorkCountersGolden(t *testing.T) {
-	got := renderWorkCounters(t)
-	if *updateWorkCounters {
-		if err := os.MkdirAll(filepath.Dir(workCountersGolden), 0o755); err != nil {
+	checkGolden(t, workCountersGolden, renderWorkCounters(t))
+}
+
+// checkGolden compares got with the golden file at path line by line, or
+// rewrites the file when the test runs with -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(workCountersGolden, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(workCountersGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
@@ -80,10 +86,10 @@ func TestWorkCountersGolden(t *testing.T) {
 	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("work counters differ from %s at line %d:\n got: %s\nwant: %s", workCountersGolden, i+1, gl[i], wl[i])
+			t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("work counters differ from %s in length: %d lines, want %d", workCountersGolden, len(gl), len(wl))
+	t.Fatalf("output differs from %s in length: %d lines, want %d", path, len(gl), len(wl))
 }
 
 // warmRunAllocCeiling bounds the heap allocations of one warm serial

@@ -426,20 +426,11 @@ func BenchmarkJoinKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkRewriteSpaceSerial and ...Parallel compare the serial
-// schedule against the parallel rewrite scheduler (P=4) on a
-// wide-rewrite workload query: a depth-3 expansion (up to 256 rewrites)
-// of the three-pattern join, evaluated against a shared warmed cache.
-// Answers are byte-identical (TestParallelByteIdenticalToSerial); the
-// parallel variant should be >=2x faster wall-clock on a >=4-core host,
-// and degrades to roughly serial cost plus scheduling overhead on one
-// core. Run with -benchmem to see the per-rewrite allocation savings of
-// the per-worker scratch buffers.
-func BenchmarkRewriteSpaceSerial(b *testing.B) { benchRewriteSpace(b, 1) }
-
-func BenchmarkRewriteSpaceParallel(b *testing.B) { benchRewriteSpace(b, 4) }
-
-func benchRewriteSpace(b *testing.B, parallelism int) {
+// BenchmarkRewriteSpace measures a wide-rewrite workload query: a
+// depth-3 expansion (up to 256 rewrites) of the three-pattern join,
+// evaluated against a warmed cache. Run with -benchmem to see the
+// per-rewrite allocation savings of the executor's scratch buffers.
+func BenchmarkRewriteSpace(b *testing.B) {
 	inst := fullInstance()
 	q := query.MustParse("SELECT ?x WHERE { ?x ?p ?y . ?y locatedIn Northford . ?x affiliation ?u }")
 	q.Projection = q.ProjectedVars()
@@ -448,12 +439,12 @@ func benchRewriteSpace(b *testing.B, parallelism int) {
 	exp.MaxRewrites = 256
 	rewrites := exp.Expand(q)
 	ev := topk.New(inst.Store, topk.Options{K: 10})
-	// Warm the match-list cache so the loop measures scheduling and
-	// join work, not one-off list builds.
+	// Warm the match-list cache so the loop measures rewrite and join
+	// work, not one-off list builds.
 	if ans, _ := ev.Evaluate(q, rewrites); len(ans) == 0 {
 		b.Fatal("no answers")
 	}
-	cfg := topk.RunConfig{NoTrace: true, Parallelism: parallelism}
+	cfg := topk.RunConfig{NoTrace: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ans, _, err := ev.Run(context.Background(), q, rewrites, cfg)

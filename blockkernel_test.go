@@ -4,8 +4,7 @@ package trinit
 //
 //   - randomised fuzz: on randomly generated join queries the kernel
 //     ranks like the reference evaluator in both incremental and
-//     exhaustive mode, serial and parallel — and parallel runs return
-//     the serial run's answers, derivations included;
+//     exhaustive mode;
 //   - cancellation: a cancel raised from a streaming callback mid-join is
 //     observed at a block boundary, drains the join, and surfaces a
 //     Partial result with ErrCanceled.
@@ -14,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"trinit/internal/query"
@@ -25,8 +23,7 @@ import (
 // TestBlockKernelReferenceDifferentialFuzz generates random 1-3 pattern
 // queries over the synthetic world's vocabulary (resources, literals and
 // noisy textual tokens) and checks every kernel ranking against the
-// reference evaluator; parallel runs must also be reflect.DeepEqual to
-// the serial run.
+// reference evaluator.
 func TestBlockKernelReferenceDifferentialFuzz(t *testing.T) {
 	inst := fullInstance()
 	v := newPatternVocab(inst.Store, 31)
@@ -45,19 +42,11 @@ func TestBlockKernelReferenceDifferentialFuzz(t *testing.T) {
 		}
 		c := newRefCase(fmt.Sprintf("round %d", round), m, inst.Rules, q)
 		for i, km := range kernelModes {
-			serial, _, err := evs[i].Run(context.Background(), q, c.rewrites, topk.RunConfig{})
+			got, _, err := evs[i].Run(context.Background(), q, c.rewrites, topk.RunConfig{})
 			if err != nil {
 				t.Fatalf("round %d (%s): %v", round, km.name, err)
 			}
-			c.check(t, "["+km.name+" P=1]", serial)
-			par, _, err := evs[i].Run(context.Background(), q, c.rewrites, topk.RunConfig{Parallelism: 4})
-			if err != nil {
-				t.Fatalf("round %d (%s) P=4: %v", round, km.name, err)
-			}
-			c.check(t, "["+km.name+" P=4]", par)
-			if !reflect.DeepEqual(par, serial) {
-				t.Fatalf("round %d (%s) P=4: query %s: parallel answers differ from serial", round, km.name, q)
-			}
+			c.check(t, "["+km.name+"]", got)
 		}
 	}
 }

@@ -65,10 +65,10 @@ func TestWithBudgetExhaustionMidSemiJoin(t *testing.T) {
 	assertBudgetDegraded(t, res, err)
 }
 
-// TestBudgetedAnswersSubsetOfOracle: at every parallelism, a budgeted
-// run returns only real answers — each present in the unbudgeted
-// oracle with a score no higher than the oracle's (max-over-derivations
-// only grows as more of the rewrite space is explored).
+// TestBudgetedAnswersSubsetOfOracle: a budgeted run returns only real
+// answers — each present in the unbudgeted oracle with a score no
+// higher than the oracle's (max-over-derivations only grows as more of
+// the rewrite space is explored).
 func TestBudgetedAnswersSubsetOfOracle(t *testing.T) {
 	e, queries := syntheticWorkload(t)
 	texts := []string{expensiveQuery}
@@ -87,26 +87,24 @@ func TestBudgetedAnswersSubsetOfOracle(t *testing.T) {
 		for _, a := range oracle.Answers {
 			oracleScore[bindingsKey(a.Bindings)] = a.Score
 		}
-		for _, p := range []int{1, 2, 4} {
-			for _, budget := range []int64{200, 2000} {
-				res, err := e.QueryContext(context.Background(), text,
-					WithMode(ModeExhaustive), WithParallelism(p),
-					WithBudget(Budget{JoinBranches: budget}))
-				if err != nil && !errors.Is(err, ErrBudgetExhausted) {
-					t.Fatalf("%s P=%d budget=%d: unexpected error %v", text, p, budget, err)
+		for _, budget := range []int64{200, 2000} {
+			res, err := e.QueryContext(context.Background(), text,
+				WithMode(ModeExhaustive),
+				WithBudget(Budget{JoinBranches: budget}))
+			if err != nil && !errors.Is(err, ErrBudgetExhausted) {
+				t.Fatalf("%s budget=%d: unexpected error %v", text, budget, err)
+			}
+			if err != nil && (res == nil || !res.Partial) {
+				t.Fatalf("%s budget=%d: exhausted without a partial result", text, budget)
+			}
+			for _, a := range res.Answers {
+				want, ok := oracleScore[bindingsKey(a.Bindings)]
+				if !ok {
+					t.Fatalf("%s budget=%d: answer %v not in oracle", text, budget, a.Bindings)
 				}
-				if err != nil && (res == nil || !res.Partial) {
-					t.Fatalf("%s P=%d budget=%d: exhausted without a partial result", text, p, budget)
-				}
-				for _, a := range res.Answers {
-					want, ok := oracleScore[bindingsKey(a.Bindings)]
-					if !ok {
-						t.Fatalf("%s P=%d budget=%d: answer %v not in oracle", text, p, budget, a.Bindings)
-					}
-					if a.Score > want+1e-12 {
-						t.Fatalf("%s P=%d budget=%d: answer %v scored %v above oracle %v",
-							text, p, budget, a.Bindings, a.Score, want)
-					}
+				if a.Score > want+1e-12 {
+					t.Fatalf("%s budget=%d: answer %v scored %v above oracle %v",
+						text, budget, a.Bindings, a.Score, want)
 				}
 			}
 		}

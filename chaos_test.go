@@ -1,9 +1,9 @@
 package trinit
 
 // The chaos differential: the full 70-query synthetic workload runs
-// serially and at P∈{2,4} while the fault-injection harness rotates
-// faults through it — none, injected latency, worker panics, tiny cost
-// budgets, and mid-stream cancellations. The contract under chaos:
+// while the fault-injection harness rotates faults through it — none,
+// injected latency, evaluation panics, tiny cost budgets, and mid-stream
+// cancellations. The contract under chaos:
 //
 //   - every query that completes returns answers byte-identical to the
 //     fault-free oracle (latency faults change nothing);
@@ -50,85 +50,83 @@ func TestChaosDifferential(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	var completed, degraded, panicked, budgeted, canceled int
-	for _, p := range []int{1, 2, 4} {
-		for i, q := range queries {
-			opts := []QueryOption{WithParallelism(p)}
-			var script *faultinject.Script
-			fault := i % 5
-			switch fault {
-			case 1: // latency on every rewrite evaluation: slow, not wrong
-				script = faultinject.NewScript().
-					SleepEvery(faultinject.SiteRewriteEval, "", 200*time.Microsecond)
-			case 2: // crash the first rewrite evaluation
-				script = faultinject.NewScript().
-					PanicOn(faultinject.SiteRewriteEval, "", 1, "chaos: injected crash")
-			case 3: // tiny budget: trivial queries finish, the rest degrade
-				opts = append(opts, WithBudget(Budget{JoinBranches: 4, HashProbes: 4}))
-			}
-			if script != nil {
-				faultinject.Set(script.Fn)
-			}
+	for i, q := range queries {
+		var opts []QueryOption
+		var script *faultinject.Script
+		fault := i % 5
+		switch fault {
+		case 1: // latency on every rewrite evaluation: slow, not wrong
+			script = faultinject.NewScript().
+				SleepEvery(faultinject.SiteRewriteEval, "", 200*time.Microsecond)
+		case 2: // crash the first rewrite evaluation
+			script = faultinject.NewScript().
+				PanicOn(faultinject.SiteRewriteEval, "", 1, "chaos: injected crash")
+		case 3: // tiny budget: trivial queries finish, the rest degrade
+			opts = append(opts, WithBudget(Budget{JoinBranches: 4, HashProbes: 4}))
+		}
+		if script != nil {
+			faultinject.Set(script.Fn)
+		}
 
-			var res *Result
-			var err error
-			if fault == 4 {
-				// Cancel from inside the stream after the first admission;
-				// queries with no provisional answers complete cleanly.
-				ctx, cancel := context.WithCancel(context.Background())
-				res, err = e.QueryStream(ctx, q.Text, func(ev AnswerEvent) error {
-					if ev.Type == EventProvisional {
-						cancel()
-					}
-					return nil
-				}, opts...)
-				cancel()
-			} else {
-				res, err = e.QueryContext(context.Background(), q.Text, opts...)
-			}
-			faultinject.Clear()
+		var res *Result
+		var err error
+		if fault == 4 {
+			// Cancel from inside the stream after the first admission;
+			// queries with no provisional answers complete cleanly.
+			ctx, cancel := context.WithCancel(context.Background())
+			res, err = e.QueryStream(ctx, q.Text, func(ev AnswerEvent) error {
+				if ev.Type == EventProvisional {
+					cancel()
+				}
+				return nil
+			}, opts...)
+			cancel()
+		} else {
+			res, err = e.QueryContext(context.Background(), q.Text, opts...)
+		}
+		faultinject.Clear()
 
-			// Dynamic classification: the injected fault determines which
-			// outcomes are legal, the query's cost determines which occurs.
-			switch {
-			case err == nil:
-				completed++
-				if res == nil {
-					t.Fatalf("P=%d %s fault=%d: nil result without error", p, q.ID, fault)
-				}
-				if got := answersJSON(t, res); got != oracle[q.ID] {
-					t.Fatalf("P=%d %s fault=%d: completed answers differ from oracle\n got:  %s\n want: %s",
-						p, q.ID, fault, got, oracle[q.ID])
-				}
-			case errors.Is(err, ErrInternal):
-				if fault != 2 {
-					t.Fatalf("P=%d %s fault=%d: unexpected ErrInternal: %v", p, q.ID, fault, err)
-				}
-				if res == nil || !res.Partial {
-					t.Fatalf("P=%d %s: recovered panic without a partial result", p, q.ID)
-				}
-				degraded++
-				panicked++
-			case errors.Is(err, ErrBudgetExhausted):
-				if fault != 3 {
-					t.Fatalf("P=%d %s fault=%d: unexpected ErrBudgetExhausted: %v", p, q.ID, fault, err)
-				}
-				if res == nil || !res.Partial {
-					t.Fatalf("P=%d %s: budget exhaustion without a partial result", p, q.ID)
-				}
-				degraded++
-				budgeted++
-			case errors.Is(err, ErrCanceled):
-				if fault != 4 {
-					t.Fatalf("P=%d %s fault=%d: unexpected ErrCanceled: %v", p, q.ID, fault, err)
-				}
-				if res == nil || !res.Partial {
-					t.Fatalf("P=%d %s: cancellation without a partial result", p, q.ID)
-				}
-				degraded++
-				canceled++
-			default:
-				t.Fatalf("P=%d %s fault=%d: untyped error %v", p, q.ID, fault, err)
+		// Dynamic classification: the injected fault determines which
+		// outcomes are legal, the query's cost determines which occurs.
+		switch {
+		case err == nil:
+			completed++
+			if res == nil {
+				t.Fatalf("%s fault=%d: nil result without error", q.ID, fault)
 			}
+			if got := answersJSON(t, res); got != oracle[q.ID] {
+				t.Fatalf("%s fault=%d: completed answers differ from oracle\n got:  %s\n want: %s",
+					q.ID, fault, got, oracle[q.ID])
+			}
+		case errors.Is(err, ErrInternal):
+			if fault != 2 {
+				t.Fatalf("%s fault=%d: unexpected ErrInternal: %v", q.ID, fault, err)
+			}
+			if res == nil || !res.Partial {
+				t.Fatalf("%s: recovered panic without a partial result", q.ID)
+			}
+			degraded++
+			panicked++
+		case errors.Is(err, ErrBudgetExhausted):
+			if fault != 3 {
+				t.Fatalf("%s fault=%d: unexpected ErrBudgetExhausted: %v", q.ID, fault, err)
+			}
+			if res == nil || !res.Partial {
+				t.Fatalf("%s: budget exhaustion without a partial result", q.ID)
+			}
+			degraded++
+			budgeted++
+		case errors.Is(err, ErrCanceled):
+			if fault != 4 {
+				t.Fatalf("%s fault=%d: unexpected ErrCanceled: %v", q.ID, fault, err)
+			}
+			if res == nil || !res.Partial {
+				t.Fatalf("%s: cancellation without a partial result", q.ID)
+			}
+			degraded++
+			canceled++
+		default:
+			t.Fatalf("%s fault=%d: untyped error %v", q.ID, fault, err)
 		}
 	}
 
@@ -168,16 +166,14 @@ func TestChaosDifferential(t *testing.T) {
 	}
 
 	// The engine is still the same engine: the clean workload is
-	// byte-identical to the pre-storm oracle at every width.
-	for _, p := range []int{1, 4} {
-		for _, q := range queries {
-			res, err := e.QueryContext(context.Background(), q.Text, WithParallelism(p))
-			if err != nil {
-				t.Fatalf("post-chaos P=%d %s: %v", p, q.ID, err)
-			}
-			if got := answersJSON(t, res); got != oracle[q.ID] {
-				t.Fatalf("post-chaos P=%d %s: answers differ from oracle", p, q.ID)
-			}
+	// byte-identical to the pre-storm oracle.
+	for _, q := range queries {
+		res, err := e.QueryContext(context.Background(), q.Text)
+		if err != nil {
+			t.Fatalf("post-chaos %s: %v", q.ID, err)
+		}
+		if got := answersJSON(t, res); got != oracle[q.ID] {
+			t.Fatalf("post-chaos %s: answers differ from oracle", q.ID)
 		}
 	}
 }

@@ -14,10 +14,9 @@
 // is persisted into it), the listener answers probes while recovery
 // runs, and rule edits made over the API survive a crash or restart.
 // With -pprof, net/http/pprof is served on a separate address, so a
-// production profile of the query pipeline (e.g. the parallel rewrite
-// scheduler) is one `go tool pprof http://host:6060/debug/pprof/profile`
-// away; it is off unless the flag is set, and never on the public
-// listener.
+// production profile of the query pipeline is one
+// `go tool pprof http://host:6060/debug/pprof/profile` away; it is off
+// unless the flag is set, and never on the public listener.
 package main
 
 import (
@@ -49,7 +48,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 	maxInflight := flag.Int("max-inflight-cost", 4*runtime.GOMAXPROCS(0),
-		"admission capacity: total evaluation weight (queries x parallelism) running concurrently; 0 disables admission")
+		"admission capacity: total evaluation weight (1 per query, N per query on N shards) running concurrently; 0 disables admission")
 	admissionQueue := flag.Int("admission-queue", 0,
 		"admission wait-queue bound; beyond it queries are shed with 429 (0 = 4x capacity)")
 	queryBudget := flag.Int64("query-budget", 0,

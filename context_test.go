@@ -49,6 +49,19 @@ func renderResult(t *testing.T, res *Result) string {
 	return string(b)
 }
 
+// answersJSON serialises just the answers (bindings, scores, rendered
+// explanations) — the parts of a Result that must be byte-identical
+// across engines and runs. Metrics and trace may vary (a cold cache
+// charges list builds to whichever query built them).
+func answersJSON(t *testing.T, res *Result) string {
+	t.Helper()
+	b, err := json.Marshal(res.Answers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // TestQueryContextDefaultByteIdenticalToQuery pins the compatibility
 // contract on the full 70-query synthetic workload plus the demo
 // queries: QueryContext with a background context and no options is the

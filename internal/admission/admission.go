@@ -1,11 +1,11 @@
 // Package admission implements engine-level admission control: a
-// weighted semaphore sized in units of worker parallelism, with a
-// bounded FIFO wait queue and deadline-aware load shedding.
+// weighted semaphore sized in evaluation goroutines, with a bounded FIFO
+// wait queue and deadline-aware load shedding.
 //
-// Each query acquires weight equal to its effective parallelism before
-// it starts evaluating, so capacity bounds the total number of
-// evaluation goroutines rather than the number of queries — one P=8
-// query costs as much as eight serial ones. When capacity is exhausted
+// Each query acquires weight equal to the evaluation goroutines it
+// occupies before it starts evaluating — 1, or N on an engine with N
+// shards — so capacity bounds the total number of evaluation goroutines
+// rather than the number of queries. When capacity is exhausted
 // arrivals wait in FIFO order, but never unboundedly: a full queue or a
 // caller deadline that the controller predicts it cannot meet (from an
 // EWMA of recent queue waits) is shed immediately with a typed error,

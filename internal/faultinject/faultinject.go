@@ -25,15 +25,10 @@ import (
 type Site string
 
 const (
-	// SiteWorkerStart fires when a parallel scheduler worker starts,
-	// keyed by the worker index. A panicking hook here simulates a
-	// worker dying before it evaluates anything.
-	SiteWorkerStart Site = "worker-start"
 	// SiteRewriteEval fires at the top of every rewrite evaluation,
-	// keyed by the rewrite's index in the rewrite space — on the serial
-	// path and inside every parallel worker. A panicking hook here
-	// simulates a crash mid-query; a sleeping hook simulates a slow
-	// evaluation.
+	// keyed by the rewrite's index in the rewrite space. A panicking
+	// hook here simulates a crash mid-query; a sleeping hook simulates a
+	// slow evaluation.
 	SiteRewriteEval Site = "rewrite-eval"
 	// SiteListBuild fires inside a match-list cache build, keyed by the
 	// pattern key. A sleeping hook simulates slow index access (the
@@ -70,7 +65,7 @@ const (
 
 // Fn is an installed hook: it receives every Fire call and may sleep,
 // panic, or run arbitrary side effects. It must be safe for concurrent
-// use — parallel workers fire sites concurrently.
+// use — concurrent queries and shard runs fire sites concurrently.
 type Fn func(site Site, key string)
 
 // ErrFn is an installed error hook: it receives every FireErr call and

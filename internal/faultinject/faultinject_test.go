@@ -79,7 +79,7 @@ func TestScriptEveryAndAnyKey(t *testing.T) {
 	defer s.Install()()
 	Fire(SiteListBuild, "a")
 	Fire(SiteListBuild, "b")
-	Fire(SiteWorkerStart, "0") // different site: no match
+	Fire(SiteRewriteEval, "0") // different site: no match
 	if n != 2 {
 		t.Fatalf("action ran %d times, want 2", n)
 	}
@@ -102,7 +102,7 @@ func TestScriptSleepEvery(t *testing.T) {
 // TestScriptConcurrentFire: concurrent Fire calls through one script
 // must not race (run under -race) and must count every occurrence.
 func TestScriptConcurrentFire(t *testing.T) {
-	s := NewScript().CallOn(SiteWorkerStart, "", 0, func() {})
+	s := NewScript().CallOn(SiteRewriteEval, "", 0, func() {})
 	defer s.Install()()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -110,12 +110,12 @@ func TestScriptConcurrentFire(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				Fire(SiteWorkerStart, "w")
+				Fire(SiteRewriteEval, "w")
 			}
 		}()
 	}
 	wg.Wait()
-	if got := s.Fired(SiteWorkerStart, ""); got != 800 {
+	if got := s.Fired(SiteRewriteEval, ""); got != 800 {
 		t.Fatalf("Fired = %d, want 800", got)
 	}
 }

@@ -179,12 +179,11 @@ func partialReason(err error) string {
 // queryOptions builds the per-query options from request parameters:
 // k=<n> caps the answer count, timeout=<duration> bounds processing
 // (e.g. 500ms; the request context still applies), mode=incremental|
-// exhaustive overrides the engine strategy, parallelism=<n>|max sets
-// how many workers evaluate the rewrite space concurrently (max = one
-// per CPU; answers are byte-identical at every width), and explain=0
-// skips eager explanation rendering. Malformed values are an error —
-// silently dropping a mistyped timeout would run the query unbounded
-// while the client believes its limit was applied.
+// exhaustive overrides the engine strategy, budget=<n> caps the join
+// branches explored, and explain=0 skips eager explanation rendering.
+// Malformed values are an error — silently dropping a mistyped timeout
+// would run the query unbounded while the client believes its limit was
+// applied.
 func queryOptions(q url.Values) ([]trinit.QueryOption, error) {
 	var opts []trinit.QueryOption
 	if ks := q.Get("k"); ks != "" {
@@ -209,15 +208,6 @@ func queryOptions(q url.Values) ([]trinit.QueryOption, error) {
 		opts = append(opts, trinit.WithMode(trinit.ModeExhaustive))
 	default:
 		return nil, fmt.Errorf("bad mode parameter %q: want incremental or exhaustive", mode)
-	}
-	if ps := q.Get("parallelism"); ps != "" {
-		if ps == "max" {
-			opts = append(opts, trinit.WithParallelism(0))
-		} else if n, err := strconv.Atoi(ps); err == nil && n >= 1 {
-			opts = append(opts, trinit.WithParallelism(n))
-		} else {
-			return nil, fmt.Errorf("bad parallelism parameter %q: want a positive integer or max", ps)
-		}
 	}
 	if bs := q.Get("budget"); bs != "" {
 		n, err := strconv.ParseInt(bs, 10, 64)

@@ -26,9 +26,8 @@ import (
 	"sync/atomic"
 )
 
-// BoundBroadcast is the shared k-th-score bound exchanged between shards
-// — the distributed analogue of the parallel scheduler's atomic
-// state.bits, satisfying topk.SharedBound. Publish keeps the maximum
+// BoundBroadcast is the shared k-th-score bound exchanged between shards,
+// satisfying topk.SharedBound. Publish keeps the maximum
 // score offered so far via a CAS loop; Load is a single atomic read on
 // the join kernels' prune path. The zero value is ready to use and
 // reports bound 0 (no shard has proven k answers yet).

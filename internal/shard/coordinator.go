@@ -286,14 +286,14 @@ func (g *Group) Run(ctx context.Context, q *query.Query, rewrites []relax.Rewrit
 		}
 	}
 	if cfg.BudgetShare == nil {
-		// One shared account across all shards, as runParallel shares
-		// one across workers; nil when the budget is unlimited.
+		// One shared account across all shards; nil when the budget is
+		// unlimited.
 		cfg.BudgetShare = topk.NewBudgetShare(cfg.Budget)
 		cfg.Budget = topk.Budget{}
 	}
 	if cfg.Emit != nil {
-		// Serialise the caller's emit hook across shards (the parallel
-		// scheduler already serialises within one shard).
+		// Serialise the caller's emit hook across shards, which run on
+		// their own goroutines.
 		var emitMu sync.Mutex
 		inner := cfg.Emit
 		cfg.Emit = func(a topk.Answer) {
@@ -328,8 +328,8 @@ func (g *Group) Run(ctx context.Context, q *query.Query, rewrites []relax.Rewrit
 		clean := false
 		defer func() {
 			if rec := recover(); rec != nil {
-				// The serial executor path does not recover; this is
-				// the per-run panic boundary. Cancel the siblings
+				// Executor.Run does not recover; this is the per-run
+				// panic boundary. Cancel the siblings
 				// and drop the (possibly poisoned) executor.
 				errs[i] = &topk.PanicError{Value: rec, Stack: debug.Stack()}
 				icancel()
@@ -429,10 +429,9 @@ func (g *Group) Run(ctx context.Context, q *query.Query, rewrites []relax.Rewrit
 	}
 	res.MergeTime = time.Since(mergeStart)
 
-	// Error precedence: panic > budget > cancellation — mirroring the
-	// parallel scheduler's rationale (a panic cancels the siblings, and
-	// an exhausted shared budget stops every shard, so the weaker
-	// signals are side effects of the stronger ones).
+	// Error precedence: panic > budget > cancellation (a panic cancels
+	// the siblings, and an exhausted shared budget stops every shard, so
+	// the weaker signals are side effects of the stronger ones).
 	var budgetErr, cancelErr error
 	for _, e := range errs {
 		var pe *topk.PanicError

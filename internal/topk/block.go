@@ -16,9 +16,8 @@ package topk
 // Enumeration order: output rows are appended in (input row, candidate)
 // order and a full output block is flushed — extended depth-first
 // through all remaining depths — before later input rows are processed,
-// so complete bindings materialise in depth-first order and receive
-// their canonical sequence numbers (the tie-break identity of a
-// derivation) deterministically.
+// so complete bindings materialise in depth-first order, the canonical
+// order whose first derivation wins an exact score tie (state.record).
 //
 // Pruning: a candidate is cut when its score bound — the realised
 // score's own left-to-right fold with every later factor replaced by its
@@ -144,8 +143,7 @@ func (r *run) blockExtend(e *joinEnv, d int) {
 	incremental := r.opts.Mode == Incremental
 	// thLimit is the block-level score bound: 0 in exhaustive mode (a
 	// non-negative bound never goes below it, so BoundedExtend scans the
-	// full candidate list), the shared top-k threshold in incremental
-	// mode. It is refreshed at block boundaries — a flush may have
+	// full candidate list), the top-k threshold in incremental mode. It is refreshed at block boundaries — a flush may have
 	// recorded answers that tightened it — not per tuple; a staler
 	// threshold only prunes less.
 	var thLimit float64

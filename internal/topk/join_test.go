@@ -3,6 +3,7 @@ package topk
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"trinit/internal/query"
@@ -119,7 +120,7 @@ func TestJoinOrderPrefersConnectedPatterns(t *testing.T) {
 // TestHashJoinKernelMatchesLegacyKernel: the hash-probed, semi-join
 // reduced block kernel must return the answers of the legacy full-scan
 // nested-loop join — kept as the test-only reference evaluator — on the
-// demo workload, in both processing modes and on every schedule.
+// demo workload, in both processing modes.
 func TestHashJoinKernelMatchesLegacyKernel(t *testing.T) {
 	st := demoXKG()
 	queries := []string{
@@ -135,9 +136,8 @@ func TestHashJoinKernelMatchesLegacyKernel(t *testing.T) {
 	}
 }
 
-// checkReference evaluates qs over st in both modes, serially and on
-// four workers, and checks every ranking of k answers against the
-// reference evaluator.
+// checkReference evaluates qs over st in both modes and checks every
+// ranking of k answers against the reference evaluator.
 func checkReference(t *testing.T, st *store.Store, qs string, rules []*relax.Rule, k int) {
 	t.Helper()
 	q := query.MustParse(qs)
@@ -146,18 +146,16 @@ func checkReference(t *testing.T, st *store.Store, qs string, rules []*relax.Rul
 	want := reference.Evaluate(score.NewMatcher(st), q.Projection, rewrites)
 	for _, mode := range []Mode{Incremental, Exhaustive} {
 		ev := New(st, Options{K: k, Mode: mode})
-		for _, p := range []int{1, 4} {
-			got, _, err := ev.Run(context.Background(), q, rewrites, RunConfig{Parallelism: p})
-			if err != nil {
-				t.Fatalf("%s (%v, P=%d): %v", qs, mode, p, err)
-			}
-			keyed := make([]reference.Answer, len(got))
-			for i, a := range got {
-				keyed[i] = reference.Answer{Key: string(AnswerKey(nil, a.Bindings, q.Projection)), Score: a.Score}
-			}
-			if err := reference.Check(want, k, keyed); err != nil {
-				t.Fatalf("%s (%v, P=%d): %v", qs, mode, p, err)
-			}
+		got, _, err := ev.Run(context.Background(), q, rewrites, RunConfig{})
+		if err != nil {
+			t.Fatalf("%s (%v): %v", qs, mode, err)
+		}
+		keyed := make([]reference.Answer, len(got))
+		for i, a := range got {
+			keyed[i] = reference.Answer{Key: string(AnswerKey(nil, a.Bindings, q.Projection)), Score: a.Score}
+		}
+		if err := reference.Check(want, k, keyed); err != nil {
+			t.Fatalf("%s (%v): %v", qs, mode, err)
 		}
 	}
 }
@@ -243,13 +241,53 @@ func TestThresholdHeapMatchesSortedThreshold(t *testing.T) {
 		{"f", 0.06}, {"h", 0.85}, {"c", 0.99}, {"i", 0.5}, {"e", 0.96},
 	}
 	for k := 1; k <= 6; k++ {
-		s := newState(k, false)
+		s := newState(k)
 		for step, w := range seq {
 			score := w.score
-			s.record([]byte(w.key), score, 0, step, func() Answer { return Answer{Score: score} })
+			s.record([]byte(w.key), score, func() Answer { return Answer{Score: score} })
 			if got, want := s.threshold(), ref(s); got != want {
 				t.Fatalf("k=%d step %d (%s=%v): threshold %v, want %v", k, step, w.key, w.score, got, want)
 			}
 		}
+	}
+}
+
+// TestRecordKeepsFirstDerivationOnTie pins record's tie rule. Run
+// offers derivations in canonical order (rewrites by descending weight,
+// bindings in enumeration order), so of two derivations of one answer
+// at a bit-equal score the first must stay; only a strictly higher
+// score replaces it.
+func TestRecordKeepsFirstDerivationOnTie(t *testing.T) {
+	offer := func(s *state, score float64, triple store.ID) (wrote, admitted bool) {
+		return s.record([]byte("x=7;"), score, func() Answer {
+			return Answer{Score: score, Derivation: Derivation{Triples: []store.ID{triple}}}
+		})
+	}
+	kept := func(s *state) (float64, store.ID) {
+		a := s.ranked(s.k)[0]
+		return a.Score, a.Derivation.Triples[0]
+	}
+
+	s := newState(3)
+	tie := 0.3 * 0.7
+	if wrote, admitted := offer(s, tie, 1); !wrote || !admitted {
+		t.Fatalf("first derivation: wrote=%v admitted=%v, want true, true", wrote, admitted)
+	}
+	if wrote, admitted := offer(s, 0.7*0.3, 2); wrote || admitted {
+		t.Fatalf("tied derivation: wrote=%v admitted=%v, want false, false", wrote, admitted)
+	}
+	if score, tr := kept(s); score != tie || tr != 1 {
+		t.Fatalf("after tie: kept score %v from triple %d, want %v from triple 1", score, tr, tie)
+	}
+
+	better := math.Nextafter(tie, 1)
+	if wrote, admitted := offer(s, better, 3); !wrote || !admitted {
+		t.Fatalf("higher derivation: wrote=%v admitted=%v, want true, true", wrote, admitted)
+	}
+	if score, tr := kept(s); score != better || tr != 3 {
+		t.Fatalf("after improvement: kept score %v from triple %d, want %v from triple 3", score, tr, better)
+	}
+	if len(s.answers) != 1 {
+		t.Fatalf("%d answers stored for one key", len(s.answers))
 	}
 }

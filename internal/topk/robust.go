@@ -17,11 +17,6 @@ package topk
 // partial result sound: every returned answer is a real answer whose
 // reported score is the max over the derivations explored so far, i.e.
 // a lower bound on its unbudgeted score.
-//
-// Under a parallel schedule all workers charge one shared tracker, so
-// the cap bounds the query's total work, not per-worker work; the
-// first worker to observe exhaustion publishes it and the others stop
-// at their next poll.
 
 import (
 	"errors"
@@ -55,10 +50,10 @@ func (b Budget) limited() bool {
 	return b.JoinBranches > 0 || b.HashProbes > 0 || b.Blocks > 0
 }
 
-// budgetTracker is the shared charge account of one Run: workers add
-// their metric deltas and compare against the limits. exhausted is
-// sticky — once any cap is crossed every poll on every worker reports
-// over-budget.
+// budgetTracker is the charge account of one Run, or of every shard run
+// of one sharded query (BudgetShare): runs add their metric deltas and
+// compare against the limits. exhausted is sticky — once any cap is
+// crossed every poll of every run charging it reports over-budget.
 type budgetTracker struct {
 	limits    Budget
 	branches  atomic.Int64
@@ -74,9 +69,8 @@ func newBudgetTracker(b Budget) *budgetTracker {
 // BudgetShare is an externally owned budget charge account that several
 // Run calls charge together (RunConfig.BudgetShare): the sharded
 // coordinator hands every per-shard run the same share, so the caps
-// bound the query's total work across all shards — the cross-process
-// generalisation of the parallel scheduler's shared tracker. The zero
-// value is not useful; construct with NewBudgetShare.
+// bound the query's total work across all shards. The zero value is not
+// useful; construct with NewBudgetShare.
 type BudgetShare struct {
 	budgetTracker
 }
@@ -141,10 +135,9 @@ func (r *run) overBudget() bool {
 }
 
 // PanicError is a recovered evaluation panic: the panic value plus the
-// goroutine stack at the recover point. Run returns it (wrapped by the
-// engine into its ErrInternal) instead of letting a worker panic kill
-// the process; the stack also lands in the "panic" trace entry's
-// Detail.
+// goroutine stack at the recover point. The engine's query boundary and
+// the shard coordinator return it (wrapped by the engine into its
+// ErrInternal) instead of letting an evaluation panic kill the process.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -152,9 +145,4 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("topk: recovered panic: %v", e.Value)
-}
-
-// detail renders the panic for a trace entry: value plus stack.
-func (e *PanicError) detail() string {
-	return fmt.Sprintf("%v\n%s", e.Value, e.Stack)
 }

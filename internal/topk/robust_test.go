@@ -1,19 +1,16 @@
 package topk
 
 // Tests of the robustness layer inside the evaluator: per-query cost
-// budgets observed at the cancellation poll points (serial and
-// parallel, single- and multi-pattern joins), the "budget" trace
-// marker, and worker panic isolation through the fault-injection sites.
-// Run with -race.
+// budgets observed at the cancellation poll points (single- and
+// multi-pattern joins), the "budget" trace marker, and panic
+// propagation through the fault-injection sites. Run with -race.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"trinit/internal/faultinject"
 	"trinit/internal/query"
@@ -21,6 +18,37 @@ import (
 	"trinit/internal/relax"
 	"trinit/internal/store"
 )
+
+// wideFixture builds a store with rels token predicates of perRel facts
+// each plus relaxation rules rewriting the first predicate into every
+// other — a rewrite space of rels rewrites whose joins each walk perRel
+// branches, so a cancellation or budget poll (every 256 branches) is
+// guaranteed mid-rewrite.
+func wideFixture(t *testing.T, perRel, rels int, opts Options) (*Evaluator, *query.Query, []relax.Rewrite) {
+	t.Helper()
+	st := store.New(nil, nil)
+	for r := 0; r < rels; r++ {
+		rel := fmt.Sprintf("widerel%d", r)
+		for i := 0; i < perRel; i++ {
+			conf := 0.1 + 0.8*float64((i*31+r*7)%101)/101
+			st.AddFact(rdf.Resource(fmt.Sprintf("E%d_%d", r, i)), rdf.Token(rel),
+				rdf.Resource(fmt.Sprintf("F%d", i)), rdf.SourceXKG, conf, rdf.NoProv)
+		}
+	}
+	st.Freeze()
+	var rules []*relax.Rule
+	for r := 1; r < rels; r++ {
+		rules = append(rules, relax.MustParseRule(fmt.Sprintf("w%d", r),
+			fmt.Sprintf("?x 'widerel0' ?y => ?x 'widerel%d' ?y", r), 1-0.05*float64(r), "manual"))
+	}
+	q := query.MustParse("?x 'widerel0' ?y")
+	q.Projection = q.ProjectedVars()
+	rewrites := relax.NewExpander(rules).Expand(q)
+	if len(rewrites) != rels {
+		t.Fatalf("rewrite space has %d rewrites, want %d", len(rewrites), rels)
+	}
+	return New(st, opts), q, rewrites
+}
 
 // TestBudgetZeroIsUnlimited: the zero Budget means no limits — the run
 // is byte-identical to an unbudgeted one and returns no error.
@@ -42,32 +70,27 @@ func TestBudgetZeroIsUnlimited(t *testing.T) {
 // TestBudgetGenerousByteIdentical: a budget large enough to never
 // trip must not perturb the result in any way.
 func TestBudgetGenerousByteIdentical(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		ev, q, rewrites := wideFixture(t, 300, 5, Options{K: 5})
-		oracle, om, err := ev.Run(context.Background(), q, rewrites, RunConfig{Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gm, err := ev.Run(context.Background(), q, rewrites, RunConfig{
-			Parallelism: p,
-			Budget:      Budget{JoinBranches: 1 << 40, HashProbes: 1 << 40, Blocks: 1 << 40},
-		})
-		if err != nil {
-			t.Fatalf("P=%d generous budget: %v", p, err)
-		}
-		if !reflect.DeepEqual(got, oracle) {
-			t.Fatalf("P=%d: generous-budget answers differ from unbudgeted", p)
-		}
-		// Work counters are only deterministic on the serial schedule —
-		// parallel threshold timing legitimately varies the join work.
-		if p == 1 && gm.JoinBranches != om.JoinBranches {
-			t.Fatalf("serial: JoinBranches %d with budget, %d without", gm.JoinBranches, om.JoinBranches)
-		}
+	ev, q, rewrites := wideFixture(t, 300, 5, Options{K: 5})
+	oracle, om, err := ev.Run(context.Background(), q, rewrites, RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gm, err := ev.Run(context.Background(), q, rewrites, RunConfig{
+		Budget: Budget{JoinBranches: 1 << 40, HashProbes: 1 << 40, Blocks: 1 << 40},
+	})
+	if err != nil {
+		t.Fatalf("generous budget: %v", err)
+	}
+	if !reflect.DeepEqual(got, oracle) {
+		t.Fatal("generous-budget answers differ from unbudgeted")
+	}
+	if gm.JoinBranches != om.JoinBranches {
+		t.Fatalf("JoinBranches %d with budget, %d without", gm.JoinBranches, om.JoinBranches)
 	}
 }
 
-// TestBudgetExhaustionSerial: a tiny join-branch budget stops a serial
-// run early with ErrBudgetExhausted; the answers found so far are
+// TestBudgetExhaustionSerial: a tiny join-branch budget stops a run
+// early with ErrBudgetExhausted; the answers found so far are
 // returned and the unevaluated rewrites are traced "budget".
 func TestBudgetExhaustionSerial(t *testing.T) {
 	// 6 rewrites x 1200 branches each: the budget trips inside the first
@@ -95,34 +118,6 @@ func TestBudgetExhaustionSerial(t *testing.T) {
 	if !budgetTraced {
 		t.Fatal("no trace entry with status budget")
 	}
-}
-
-// TestBudgetExhaustionParallel: the shared budget account stops every
-// worker; the error is typed, traces use the budget marker, and the
-// worker pool drains.
-func TestBudgetExhaustionParallel(t *testing.T) {
-	ev, q, rewrites := wideFixture(t, 1200, 6, Options{K: 3, Mode: Exhaustive})
-	before := runtime.NumGoroutine()
-	_, m, err := ev.Run(context.Background(), q, rewrites, RunConfig{
-		Parallelism: 4,
-		Budget:      Budget{JoinBranches: 500},
-	})
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	if m.JoinBranches >= 1200*6 {
-		t.Fatalf("JoinBranches = %d: budget did not stop the run early", m.JoinBranches)
-	}
-	budgetTraced := false
-	for _, tr := range ev.LastTrace() {
-		if tr.Status == "budget" {
-			budgetTraced = true
-		}
-	}
-	if !budgetTraced {
-		t.Fatal("no trace entry with status budget")
-	}
-	waitForGoroutines(t, before)
 }
 
 // joinFixture builds a store where a two-pattern chain query drives
@@ -210,64 +205,9 @@ func bindKey(a Answer) string {
 	return key
 }
 
-// TestWorkerPanicIsolated: an injected panic in one parallel worker is
-// recovered at the worker boundary, returned as a typed *PanicError,
-// marked in the trace, and drains the whole pool; the evaluator then
-// serves a clean query byte-identically.
-func TestWorkerPanicIsolated(t *testing.T) {
-	ev, q, rewrites := wideFixture(t, 400, 6, Options{K: 5, Mode: Exhaustive})
-	oracle, _, err := ev.Run(context.Background(), q, rewrites, RunConfig{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := runtime.NumGoroutine()
-	s := faultinject.NewScript().PanicOn(faultinject.SiteRewriteEval, "2", 1, "injected worker crash")
-	clear := s.Install()
-	_, _, err = ev.Run(context.Background(), q, rewrites, RunConfig{Parallelism: 4})
-	clear()
-
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if pe.Value != "injected worker crash" {
-		t.Fatalf("PanicError.Value = %v", pe.Value)
-	}
-	if len(pe.Stack) == 0 {
-		t.Fatal("PanicError carries no stack")
-	}
-	if s.Fired(faultinject.SiteRewriteEval, "2") != 1 {
-		t.Fatal("injected panic never fired")
-	}
-	panicTraced := false
-	for _, tr := range ev.LastTrace() {
-		if tr.Status == "panic" {
-			panicTraced = true
-			if tr.Detail == "" {
-				t.Fatal("panic trace entry has no detail")
-			}
-		}
-	}
-	if !panicTraced {
-		t.Fatal("no trace entry with status panic")
-	}
-	waitForGoroutines(t, before)
-
-	// The evaluator must stay serviceable: a clean rerun is
-	// byte-identical to the pre-panic oracle.
-	got, _, err := ev.Run(context.Background(), q, rewrites, RunConfig{Parallelism: 4})
-	if err != nil {
-		t.Fatalf("post-panic run: %v", err)
-	}
-	if !reflect.DeepEqual(got, oracle) {
-		t.Fatal("post-panic answers differ from pre-panic oracle")
-	}
-}
-
-// TestSerialPanicPropagates: the serial path has no worker boundary —
-// the panic unwinds out of Run for the engine-level recover to catch.
-// This pins the contract the engine's own boundary depends on.
+// TestSerialPanicPropagates: Run has no panic boundary of its own — the
+// panic unwinds out of Run for the engine-level recover to catch. This
+// pins the contract the engine's own boundary depends on.
 func TestSerialPanicPropagates(t *testing.T) {
 	ev, q, rewrites := wideFixture(t, 50, 3, Options{K: 5})
 	s := faultinject.NewScript().PanicOn(faultinject.SiteRewriteEval, "1", 1, "serial crash")
@@ -278,17 +218,4 @@ func TestSerialPanicPropagates(t *testing.T) {
 		}
 	}()
 	_, _, _ = ev.Run(context.Background(), q, rewrites, RunConfig{})
-}
-
-// waitForGoroutines asserts the goroutine count settles back to the
-// baseline captured before the run under test.
-func waitForGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Fatalf("%d goroutines after run, baseline %d", n, baseline)
-	}
 }

@@ -123,8 +123,7 @@ func (vp *varPlan) joinOrderInto(lenOrder, out []int, used, bound []bool) []int 
 // varPlanFor returns the slot resolution of this pattern set, memoised
 // per run by the patterns' variable signature (rewrites of one query
 // share a handful of shapes, and relaxation rules rarely touch variable
-// structure). Memoising per run — not on the shared Executor — keeps
-// parallel workers race-free for free: each worker owns its run.
+// structure).
 func (r *run) varPlanFor(pats []query.Pattern) *varPlan {
 	sc := &r.sc
 	buf := sc.sigBuf[:0]

@@ -27,11 +27,8 @@ package topk
 
 import (
 	"context"
-	"math"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"trinit/internal/faultinject"
 	"trinit/internal/query"
@@ -65,13 +62,6 @@ type Options struct {
 	// pattern matcher.
 	UniformConf bool
 	NoNormalize bool
-	// Parallelism is the default number of scheduler workers a Run may
-	// use to evaluate a query's rewrites concurrently (overridable per
-	// call via RunConfig.Parallelism). 0 and 1 keep the serial schedule;
-	// values > 1 enable the parallel scheduler with that many workers;
-	// AutoParallelism (any negative value) uses one worker per logical
-	// CPU. The final ranking is byte-identical at every width.
-	Parallelism int
 }
 
 // RunConfig carries the per-call knobs of one Run. Every field is
@@ -99,41 +89,25 @@ type RunConfig struct {
 	// events are best-effort: an answer that merely ties the k-th score
 	// can enter the final ranking through the deterministic key
 	// tie-break without ever being admitted to the score-only heap, so
-	// consumers must treat the final answers as authoritative. Under a
-	// parallel schedule calls are serialised (never concurrent), but
-	// two admissions may arrive in either order.
+	// consumers must treat the final answers as authoritative.
 	Emit func(Answer)
-	// Parallelism overrides the executor's configured scheduler width
-	// for this call: 1 forces the serial schedule, values > 1 evaluate
-	// rewrites on that many concurrent workers sharing one top-k bound,
-	// AutoParallelism (any negative value) uses one worker per logical
-	// CPU, and 0 keeps the executor's Options.Parallelism. Answers are
-	// byte-identical to serial execution at every width; Metrics work
-	// counters and trace statuses may differ run to run, because a
-	// worker acting on a slightly stale bound does extra (never unsafe)
-	// work.
-	Parallelism int
 	// Budget caps the work of this call (see Budget); the zero value is
 	// unlimited. A run that spends its budget stops at the next poll
 	// point and returns the answers found so far with
 	// ErrBudgetExhausted — a sound partial top-k, never an empty error.
-	// Under a parallel schedule the budget bounds the query's total
-	// work across all workers.
 	Budget Budget
 	// BudgetShare, when non-nil, replaces Budget with an externally
 	// owned charge account shared across several Run calls — the sharded
-	// coordinator's "one budget for the whole query" semantics, exactly
-	// as the parallel scheduler shares one tracker across workers. When
+	// coordinator's "one budget for the whole query" semantics. When
 	// set, Budget is ignored.
 	BudgetShare *BudgetShare
 	// Bound, when non-nil, is an external k-th-score bound this run
 	// reads in addition to — and publishes into — its own local top-k
-	// threshold. It is the distributed analogue of state.bits: a sharded
-	// coordinator hands every shard the same BoundBroadcast so each
-	// shard prunes against the best k-th score any shard has proven. The
-	// same staleness argument applies — a stale remote bound is only
-	// ever lower than the true global bound, so pruning against it does
-	// extra work but never drops an answer.
+	// threshold: a sharded coordinator hands every shard the same
+	// BoundBroadcast so each shard prunes against the best k-th score any
+	// shard has proven. A stale remote bound is only ever lower than the
+	// true global bound, so pruning against it does extra work but never
+	// drops an answer.
 	Bound SharedBound
 }
 
@@ -182,14 +156,6 @@ type Derivation struct {
 }
 
 // Metrics quantify the work done, for the E5 efficiency experiment.
-//
-// Under a parallel schedule (Parallelism > 1) every worker accumulates
-// its counters locally and the scheduler merges them once at the end,
-// so totals cover the whole run; work-dependent counters (SortedAccesses,
-// JoinBranches, PrunedBranches, RewritesEvaluated/Skipped, …) may vary
-// between runs of the same query, because a worker acting on a slightly
-// stale top-k bound does extra — never unsafe — work. Serial runs stay
-// exactly reproducible.
 type Metrics struct {
 	// RewritesTotal is the size of the supplied rewrite space.
 	RewritesTotal int
@@ -246,20 +212,29 @@ type Metrics struct {
 	// (RunConfig.Bound) raised above this run's own k-th score — the
 	// work another shard's answers saved this one. Zero without a shared
 	// bound. Like the other bound-dependent counters it may vary run to
-	// run under concurrency.
+	// run, since shards publish their bounds concurrently.
 	CrossShardPrunes int
 }
 
 // Add accumulates o into m, field by field, RewritesTotal included — the
 // coordinator-side aggregation across shards, where every shard ran the
-// full rewrite space against its own partition. Contrast with the
-// parallel scheduler's internal merge, which deliberately leaves the
-// queue-owned rewrite counters to the scheduler.
+// full rewrite space against its own partition.
 func (m *Metrics) Add(o Metrics) {
 	m.RewritesTotal += o.RewritesTotal
 	m.RewritesEvaluated += o.RewritesEvaluated
 	m.RewritesSkipped += o.RewritesSkipped
-	m.merge(&o)
+	m.SortedAccesses += o.SortedAccesses
+	m.IndexScanned += o.IndexScanned
+	m.PatternsMatched += o.PatternsMatched
+	m.JoinBranches += o.JoinBranches
+	m.PrunedBranches += o.PrunedBranches
+	m.HashProbes += o.HashProbes
+	m.SemiJoinDropped += o.SemiJoinDropped
+	m.TokenResolutions += o.TokenResolutions
+	m.ScanFallbacks += o.ScanFallbacks
+	m.BlocksEmitted += o.BlocksEmitted
+	m.BlockRowsFiltered += o.BlockRowsFiltered
+	m.CrossShardPrunes += o.CrossShardPrunes
 }
 
 // RewriteTrace records what happened to one rewrite during processing —
@@ -273,13 +248,10 @@ type RewriteTrace struct {
 	Rules []string
 	// Status is "evaluated", "skipped (weight bound)", "no matches",
 	// "no matches (semi-join)", "missing projection", "canceled" (the
-	// run's context was cancelled at or before this rewrite), "budget"
-	// (the run's cost budget was exhausted at or before this rewrite),
-	// or "panic" (this rewrite's evaluation panicked and was recovered).
+	// run's context was cancelled at or before this rewrite), or
+	// "budget" (the run's cost budget was exhausted at or before this
+	// rewrite).
 	Status string
-	// Detail carries extra status context: for "panic" entries, the
-	// panic value and the recovered goroutine stack. Empty otherwise.
-	Detail string
 	// PatternMatches holds the match-list length per pattern (only for
 	// evaluated rewrites; patterns skipped by a planner early-abort
 	// stay 0).
@@ -310,13 +282,11 @@ type Executor struct {
 	// lastTrace records the rewrite-by-rewrite processing steps of the
 	// most recent Evaluate call.
 	lastTrace []RewriteTrace
-	// scratch is the serial run's evaluation scratch, kept on the
-	// executor so repeated Run calls reuse the buffers, memoised slot
-	// plans and pattern keys of earlier queries. Run is single-goroutine
-	// per executor (it already owns lastTrace); parallel workers draw
-	// from scratchPool instead.
-	scratch     evalScratch
-	scratchPool sync.Pool
+	// scratch is the run's evaluation scratch, kept on the executor so
+	// repeated Run calls reuse the buffers, memoised slot plans and
+	// pattern keys of earlier queries. Run is single-goroutine per
+	// executor (it already owns lastTrace).
+	scratch evalScratch
 }
 
 // NewExecutor returns an executor over a shared match-list cache. The
@@ -407,14 +377,11 @@ func (ev *Executor) Evaluate(q *query.Query, rewrites []relax.Rewrite) ([]Answer
 }
 
 // Run is Evaluate with request scoping: ctx cancels the call, cfg
-// overrides the executor's K, Mode and Parallelism for this call only
-// and may attach a provisional-answer emit hook. Cancellation is
-// checked at every rewrite boundary and every cancelCheckInterval join
-// branches; a cancelled Run returns the answers found so far (ranked as
-// usual) together with ctx.Err(), so callers can surface a partial
-// result. With an effective parallelism above 1 the rewrites are
-// evaluated by the parallel scheduler (see runParallel); the final
-// ranking is byte-identical to the serial schedule.
+// overrides the executor's K and Mode for this call only and may attach
+// a provisional-answer emit hook. Cancellation is checked at every
+// rewrite boundary and every cancelCheckInterval join branches; a
+// cancelled Run returns the answers found so far (ranked as usual)
+// together with ctx.Err(), so callers can surface a partial result.
 func (ev *Executor) Run(ctx context.Context, q *query.Query, rewrites []relax.Rewrite, cfg RunConfig) ([]Answer, Metrics, error) {
 	opts := ev.opts
 	if cfg.K > 0 {
@@ -422,18 +389,6 @@ func (ev *Executor) Run(ctx context.Context, q *query.Query, rewrites []relax.Re
 	}
 	if cfg.ModeSet {
 		opts.Mode = cfg.Mode
-	}
-	workers := cfg.Parallelism
-	if workers == 0 {
-		workers = opts.Parallelism
-	}
-	workers = resolveParallelism(workers)
-	if workers > len(rewrites) {
-		// Never spin up more workers than rewrites to hand out.
-		workers = len(rewrites)
-	}
-	if workers > 1 {
-		return ev.runParallel(ctx, q, rewrites, opts, cfg, workers)
 	}
 
 	var done <-chan struct{}
@@ -461,7 +416,7 @@ func (ev *Executor) Run(ctx context.Context, q *query.Query, rewrites []relax.Re
 		k = q.Limit
 	}
 
-	st := newState(k, false)
+	st := newState(k)
 	st.remote = cfg.Bound
 	var m Metrics
 	m.RewritesTotal = len(rewrites)
@@ -537,9 +492,7 @@ func (ev *Executor) Run(ctx context.Context, q *query.Query, rewrites []relax.Re
 // executor's defaults with the RunConfig overrides applied), the
 // cancellation gate, the emit hook and the evaluation scratch buffers.
 // Methods that depend on per-call options hang off run; everything
-// shared and immutable stays on the embedded Executor. Under a parallel
-// schedule every worker owns its own run, so nothing here is ever
-// shared between goroutines.
+// shared and immutable stays on the embedded Executor.
 type run struct {
 	*Executor
 	opts Options
@@ -554,8 +507,7 @@ type run struct {
 	// pollCancelEvery polls every cancelCheckInterval ticks.
 	branchTick int
 	canceled   bool
-	// m points at the Metrics this run accumulates into (the serial
-	// run's totals, or a parallel worker's local counters) — the charge
+	// m points at the Metrics this run accumulates into — the charge
 	// source of budget enforcement. budget is the run's shared charge
 	// account (nil = unlimited, skipping all budget work); exhausted
 	// latches locally once the budget is spent, and the charged*
@@ -669,12 +621,7 @@ func (r *run) pollCancelEvery(n int) bool {
 // threshold is maintained incrementally: top is a min-heap over the scores
 // of the current best k answers, so every answer write costs O(log k) and
 // every threshold read is O(1) — the seed resorted all answer scores on
-// every read after a write.
-//
-// A state is either private to one serial run or shared by the parallel
-// scheduler's workers (concurrent == true). In the concurrent case
-// answer writes serialise behind mu — a short critical section — while
-// the join hot path keeps reading the threshold lock-free through bits.
+// every read after a write. A state is private to one run.
 type state struct {
 	answers map[string]*answerEntry
 	k       int
@@ -682,38 +629,23 @@ type state struct {
 	// maps an answer key to its heap index.
 	top []heapEntry
 	pos map[string]int
-	// concurrent marks a state shared across scheduler workers: record
-	// takes mu, and the threshold is read through bits only.
-	concurrent bool
-	mu         sync.Mutex
-	// bits atomically publishes math.Float64bits of the current k-th
-	// best score (0 while fewer than k answers exist), re-stored after
-	// every heap update. A worker's stale read is always <= the true
-	// bound — the threshold only ever rises — so pruning against it is
-	// safe under staleness: extra work, never a missed answer.
-	bits atomic.Uint64
+	// kth is the current k-th best score (0 while fewer than k answers
+	// exist), re-derived from the heap root after every heap update.
+	kth float64
 	// remote, when non-nil, is an externally shared bound
 	// (RunConfig.Bound): threshold reads take the max of the local and
 	// remote values, and publish forwards every local rise. A remote
 	// bound can only be lower than or equal to the final global k-th
 	// score — each shard's k-th score only rises towards its final
-	// value, which is itself <= the global one — so the same staleness
-	// argument as bits applies across shards.
+	// value, which is itself <= the global one — so a stale read prunes
+	// less, never wrongly.
 	remote SharedBound
 }
 
-// answerEntry is a stored answer plus the identity of the derivation
-// that produced its current score: the rewrite index and the derivation
-// sequence number within that rewrite, i.e. the position of the
-// derivation in the canonical serial enumeration order. Among
-// equal-scoring derivations of one answer the canonically earliest
-// wins, which makes the stored derivation — and with it the final
-// ranking — byte-identical between serial and parallel schedules.
+// answerEntry is a stored answer under its ranking key.
 type answerEntry struct {
 	key string
 	a   Answer
-	ri  int
-	seq int
 }
 
 type heapEntry struct {
@@ -721,23 +653,22 @@ type heapEntry struct {
 	score float64
 }
 
-func newState(k int, concurrent bool) *state {
+func newState(k int) *state {
 	return &state{
-		answers:    make(map[string]*answerEntry),
-		k:          k,
-		top:        make([]heapEntry, 0, k),
-		pos:        make(map[string]int, k),
-		concurrent: concurrent,
+		answers: make(map[string]*answerEntry),
+		k:       k,
+		top:     make([]heapEntry, 0, k),
+		pos:     make(map[string]int, k),
 	}
 }
 
 // threshold returns the current k-th best answer score, or 0 when fewer
-// than k answers exist. Lock-free: this is the join kernel's score-bound
-// read, issued once per candidate branch. With a shared remote bound
-// attached it returns the max of the local and remote values — another
-// shard's proven k-th score prunes here exactly like a local one.
+// than k answers exist: the join kernel's score-bound read. With a
+// shared remote bound attached it returns the max of the local and
+// remote values — another shard's proven k-th score prunes here exactly
+// like a local one.
 func (s *state) threshold() float64 {
-	t := math.Float64frombits(s.bits.Load())
+	t := s.kth
 	if s.remote != nil {
 		if rt := s.remote.Load(); rt > t {
 			return rt
@@ -749,9 +680,9 @@ func (s *state) threshold() float64 {
 // crossShard reports whether a prune at the given bound is attributable
 // to the remote shared bound alone: the branch or rewrite would have
 // survived the local threshold. Callers invoke it only on the prune
-// path, so the extra atomic load stays off the hot path.
+// path.
 func (s *state) crossShard(bound float64) bool {
-	return s.remote != nil && bound >= math.Float64frombits(s.bits.Load())
+	return s.remote != nil && bound >= s.kth
 }
 
 // remoteAhead reports whether the remote bound currently exceeds the
@@ -759,16 +690,16 @@ func (s *state) crossShard(bound float64) bool {
 // bound snapshot as the attribution proxy for tail cuts (the cut
 // candidates' individual bounds are not materialised there).
 func (s *state) remoteAhead() bool {
-	return s.remote != nil && s.remote.Load() > math.Float64frombits(s.bits.Load())
+	return s.remote != nil && s.remote.Load() > s.kth
 }
 
-// publish re-derives the atomic threshold from the heap root and, when a
+// publish re-derives the threshold from the heap root and, when a
 // shared remote bound is attached, broadcasts the rise to the other
-// shards. Callers hold mu when the state is concurrent.
+// shards.
 func (s *state) publish() {
 	if len(s.top) >= s.k {
 		v := s.top[0].score
-		s.bits.Store(math.Float64bits(v))
+		s.kth = v
 		if s.remote != nil {
 			s.remote.Publish(v)
 		}
@@ -778,35 +709,21 @@ func (s *state) publish() {
 // record stores or improves an answer, materialising it with mk only if
 // the write actually lands — rejected derivations cost no allocation.
 // key is a scratch buffer; record copies it only when the answer is
-// new. (ri, seq) identify the derivation in canonical serial order and
-// break exact score ties (see answerEntry). wrote reports that the
+// new. Derivations arrive in canonical order (rewrites by descending
+// weight, bindings in enumeration order), so among equal-scoring
+// derivations of one answer the first wins. wrote reports that the
 // answer was created or improved; admitted reports that the write
 // landed in the current top-k — the signal the emit hook streams.
-func (s *state) record(key []byte, score float64, ri, seq int, mk func() Answer) (wrote, admitted bool) {
-	if s.concurrent {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
+func (s *state) record(key []byte, score float64, mk func() Answer) (wrote, admitted bool) {
 	if cur, ok := s.answers[string(key)]; ok {
-		if score < cur.a.Score {
+		if score <= cur.a.Score {
 			return false, false
 		}
-		if score == cur.a.Score {
-			if ri > cur.ri || (ri == cur.ri && seq >= cur.seq) {
-				return false, false
-			}
-			// Same score from a canonically earlier derivation: a
-			// parallel schedule met the derivations out of order; keep
-			// the one the serial schedule would have kept (first wins).
-			// The score is unchanged, so no re-ranking and no emit.
-			cur.a, cur.ri, cur.seq = mk(), ri, seq
-			return true, false
-		}
 		// Max-over-derivations semantics (§4).
-		cur.a, cur.ri, cur.seq = mk(), ri, seq
+		cur.a = mk()
 		return true, s.bump(cur.key, score)
 	}
-	e := &answerEntry{key: string(key), a: mk(), ri: ri, seq: seq}
+	e := &answerEntry{key: string(key), a: mk()}
 	s.answers[e.key] = e
 	return true, s.bump(e.key, score)
 }
@@ -920,14 +837,12 @@ func appendAnswerKey(buf []byte, b map[string]rdf.TermID, proj []string) []byte 
 
 // joinEnv bundles the per-rewrite inputs the join kernel consumes —
 // the rewrite, its slot plan, match lists, join order, semi-join
-// survivor masks, per-depth head probabilities and the shared top-k
-// state — plus the two counters the kernel advances: seq, the canonical
-// enumeration number of complete bindings (the tie-break identity of
-// answerEntry), and answers, the writes that landed, for the trace. One
-// env lives in the run's scratch and is rebuilt per rewrite.
+// survivor masks, per-depth head probabilities and the top-k state —
+// plus the counter the kernel advances: answers, the writes that landed,
+// for the trace. One env lives in the run's scratch and is rebuilt per
+// rewrite.
 type joinEnv struct {
 	rw        relax.Rewrite
-	ri        int
 	n         int
 	proj      []string
 	projSlots []int32
@@ -942,7 +857,6 @@ type joinEnv struct {
 	state     *state
 	m         *Metrics
 	planFn    func(order []int) []int
-	seq       int
 	answers   int
 }
 
@@ -1144,7 +1058,6 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 	e := &sc.env
 	*e = joinEnv{
 		rw:        rw,
-		ri:        ri,
 		n:         n,
 		proj:      proj,
 		projSlots: sc.projSlots,
@@ -1194,13 +1107,11 @@ func (r *run) passFilters(e *joinEnv, vals []rdf.TermID) bool {
 }
 
 // recordBinding materialises one complete binding (filters already
-// applied): it assigns the binding's canonical sequence number, renders
-// the answer key over the projected slots and offers the answer to the
-// top-k state. vals is indexed by slot, triples and probs by pattern
+// applied): it renders the answer key over the projected slots and
+// offers the answer to the top-k state. vals is indexed by slot, triples and probs by pattern
 // index.
 func (r *run) recordBinding(e *joinEnv, total float64, vals []rdf.TermID, triples []store.ID, probs []float64) {
 	sc := &r.sc
-	e.seq++
 	buf := sc.keyBuf[:0]
 	for i, v := range e.proj {
 		buf = append(buf, v...)
@@ -1212,7 +1123,7 @@ func (r *run) recordBinding(e *joinEnv, total float64, vals []rdf.TermID, triple
 	// The answer is materialised (bindings projected, triples and
 	// probabilities copied) only if the write lands.
 	var stored Answer
-	wrote, admitted := e.state.record(buf, total, e.ri, e.seq, func() Answer {
+	wrote, admitted := e.state.record(buf, total, func() Answer {
 		b := make(map[string]rdf.TermID, len(e.proj))
 		for i, v := range e.proj {
 			b[v] = vals[e.projSlots[i]]

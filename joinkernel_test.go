@@ -1,11 +1,10 @@
 package trinit
 
-// Differential tests for the join kernel: in both processing modes and
-// on serial and parallel schedules the kernel must rank like the
-// reference evaluator across the full example workload, incremental
-// must be byte-identical to exhaustive, and concurrent executors sharing
-// the cached hash indexes must agree with a serial run (exercised under
-// -race in CI).
+// Differential tests for the join kernel: in both processing modes the
+// kernel must rank like the reference evaluator across the full example
+// workload, incremental must be byte-identical to exhaustive, and
+// concurrent executors sharing the cached hash indexes must agree with a
+// serial run (exercised under -race in CI).
 
 import (
 	"context"
@@ -41,20 +40,18 @@ func renderAnswers(st *store.Store, answers []topk.Answer) string {
 }
 
 // TestKernelDifferentialOnFullWorkload runs the complete synthetic
-// workload through the kernel in both modes at P in {1, 4} and checks
-// every ranking against the reference evaluator.
+// workload through the kernel in both modes and checks every ranking
+// against the reference evaluator.
 func TestKernelDifferentialOnFullWorkload(t *testing.T) {
 	cases := workloadCases(t, world().Workload(70))
 	for _, km := range kernelModes {
 		ev := topk.New(fullInstance().Store, topk.Options{K: 10, Mode: km.mode})
 		for _, c := range cases {
-			for _, p := range []int{1, 4} {
-				got, _, err := ev.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{Parallelism: p})
-				if err != nil {
-					t.Fatalf("%s [%s P=%d]: %v", c.id, km.name, p, err)
-				}
-				c.check(t, fmt.Sprintf("[%s P=%d]", km.name, p), got)
+			got, _, err := ev.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{})
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", c.id, km.name, err)
 			}
+			c.check(t, "["+km.name+"]", got)
 		}
 	}
 }

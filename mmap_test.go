@@ -8,7 +8,7 @@ package trinit
 //     each rank like the reference evaluator, and the mapped engine must
 //     be byte-identical — answers, explanations, suggestions, notices —
 //     to the eager one AND to the never-persisted oracle, in both
-//     processing modes and at P in {1, 4};
+//     processing modes;
 //   - mapped engines survive concurrent queries (executor pools, shared
 //     caches) without data races over the shared column views;
 //   - a mapped engine reports its residency through MemoryStats.
@@ -71,34 +71,29 @@ func TestMmapDifferential(t *testing.T) {
 			requireMapped(t, mapped)
 
 			for qi, wq := range queries {
-				for _, p := range []int{1, 4} {
-					opts := []QueryOption{WithMode(mode)}
-					if p > 1 {
-						opts = append(opts, WithParallelism(p))
-					}
-					want, err := eager.QueryContext(context.Background(), wq.Text, opts...)
+				opts := []QueryOption{WithMode(mode)}
+				want, err := eager.QueryContext(context.Background(), wq.Text, opts...)
+				if err != nil {
+					t.Fatalf("%s eager: %v", wq.ID, err)
+				}
+				got, err := mapped.QueryContext(context.Background(), wq.Text, opts...)
+				if err != nil {
+					t.Fatalf("%s mapped: %v", wq.ID, err)
+				}
+				refs[qi].check(t, "eager", want)
+				refs[qi].check(t, "mapped", got)
+				if a, b := renderMmap(t, got), renderMmap(t, want); a != b {
+					t.Fatalf("%s: mapped result differs from eager\n mapped: %s\n eager:  %s", wq.ID, a, b)
+				}
+				if !exhaustive {
+					// The never-persisted oracle closes the loop: disk
+					// round-trip plus mapping loses nothing.
+					ores, err := oracle.QueryContext(context.Background(), wq.Text)
 					if err != nil {
-						t.Fatalf("%s P=%d eager: %v", wq.ID, p, err)
+						t.Fatalf("%s oracle: %v", wq.ID, err)
 					}
-					got, err := mapped.QueryContext(context.Background(), wq.Text, opts...)
-					if err != nil {
-						t.Fatalf("%s P=%d mapped: %v", wq.ID, p, err)
-					}
-					refs[qi].check(t, fmt.Sprintf("eager P=%d", p), want)
-					refs[qi].check(t, fmt.Sprintf("mapped P=%d", p), got)
-					if a, b := renderMmap(t, got), renderMmap(t, want); a != b {
-						t.Fatalf("%s P=%d: mapped result differs from eager\n mapped: %s\n eager:  %s", wq.ID, p, a, b)
-					}
-					if !exhaustive && p == 1 {
-						// The never-persisted oracle closes the loop: disk
-						// round-trip plus mapping loses nothing.
-						ores, err := oracle.QueryContext(context.Background(), wq.Text)
-						if err != nil {
-							t.Fatalf("%s oracle: %v", wq.ID, err)
-						}
-						if a, b := renderMmap(t, got), renderMmap(t, ores); a != b {
-							t.Fatalf("%s: mapped result differs from unpersisted oracle\n mapped: %s\n oracle: %s", wq.ID, a, b)
-						}
+					if a, b := renderMmap(t, got), renderMmap(t, ores); a != b {
+						t.Fatalf("%s: mapped result differs from unpersisted oracle\n mapped: %s\n oracle: %s", wq.ID, a, b)
 					}
 				}
 			}
@@ -108,8 +103,8 @@ func TestMmapDifferential(t *testing.T) {
 
 // renderMmap serialises the result parts that must be byte-identical
 // across storage representations: answers (bindings, scores, eager
-// explanations), suggestions and notices. Metrics vary with cache state
-// and worker timing, trace with scheduling — both excluded.
+// explanations), suggestions and notices. Metrics and trace vary with
+// cache state — both excluded.
 func renderMmap(t *testing.T, res *Result) string {
 	t.Helper()
 	type stable struct {
@@ -146,10 +141,10 @@ func TestMmapConcurrentQueries(t *testing.T) {
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i, wq := range queries[:20] {
-				res, err := e.QueryContext(context.Background(), wq.Text, WithParallelism(1+(i+w)%3))
+			for _, wq := range queries[:20] {
+				res, err := e.QueryContext(context.Background(), wq.Text)
 				if err != nil {
 					errs <- err
 					return
@@ -159,7 +154,7 @@ func TestMmapConcurrentQueries(t *testing.T) {
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	close(errs)

@@ -2,14 +2,12 @@ package trinit
 
 // Engine-level serving robustness: admission control sheds with
 // ErrOverloaded when saturated, readiness tracks saturation, and
-// evaluation panics are recovered into ErrInternal at both the serial
-// (engine) and parallel (worker) boundaries, leaving the engine
-// serviceable. Run with -race.
+// evaluation panics are recovered into ErrInternal at the query
+// boundary, leaving the engine serviceable. Run with -race.
 
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -199,51 +197,5 @@ func TestPanicRecoveredSerial(t *testing.T) {
 	}
 	if a, b := renderResult(t, oracle), renderResult(t, after); a != b {
 		t.Fatalf("post-panic result differs from pre-panic oracle\n before: %s\n after:  %s", a, b)
-	}
-}
-
-// TestPanicRecoveredParallel: a worker panic under WithParallelism is
-// isolated at the worker boundary, siblings drain, and the typed error
-// surfaces identically.
-func TestPanicRecoveredParallel(t *testing.T) {
-	e, _ := syntheticWorkload(t)
-	const text = "?x ?p ?y . ?y ?q ?z"
-	baseline := runtime.NumGoroutine()
-
-	before := e.ServingStats().PanicsRecovered
-	s := faultinject.NewScript().PanicOn(faultinject.SiteRewriteEval, "", 1, "injected worker crash")
-	clear := s.Install()
-	res, err := e.QueryContext(context.Background(), text, WithParallelism(4), WithMode(ModeExhaustive))
-	clear()
-
-	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("err = %v, want ErrInternal", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatal("want a non-nil partial result after a recovered worker panic")
-	}
-	if got := e.ServingStats().PanicsRecovered; got != before+1 {
-		t.Fatalf("PanicsRecovered = %d, want %d", got, before+1)
-	}
-	panicTraced := false
-	for _, tr := range res.Trace {
-		if tr.Status == "panic" {
-			panicTraced = true
-		}
-	}
-	if !panicTraced {
-		t.Fatal("no trace entry with status panic")
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Fatalf("%d goroutines after recovered worker panic, baseline %d", n, baseline)
-	}
-
-	if _, err := e.QueryContext(context.Background(), text, WithParallelism(4)); err != nil {
-		t.Fatalf("post-panic query: %v", err)
 	}
 }

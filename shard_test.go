@@ -4,8 +4,7 @@ package trinit
 //
 //   - the acceptance differential: on the full 70-query synthetic
 //     workload, in both processing modes, every sharded run (N in
-//     {1, 2, 3, 4} shards, per-shard parallelism P in {1, 4}) ranks like
-//     the reference evaluator, and merges to a ranking byte-identical to
+//     {1, 2, 3, 4} shards) ranks like the reference evaluator, and merges to a ranking byte-identical to
 //     the unsharded serial run — bindings and exact score bits; at N=1
 //     the whole answer set including derivations is reflect.DeepEqual to
 //     the unsharded run's;
@@ -46,9 +45,8 @@ func sameRanking(t *testing.T, label string, got, want []topk.Answer) {
 
 // TestShardDifferential is the sharding acceptance differential (the CI
 // must-run gate): the complete synthetic workload in both modes, each
-// run of N in {1, 2, 3, 4} shards with per-shard scheduler parallelism
-// P in {1, 4} checked against the reference evaluator and against the
-// unsharded serial run.
+// run of N in {1, 2, 3, 4} shards checked against the reference
+// evaluator and against the unsharded run.
 func TestShardDifferential(t *testing.T) {
 	inst := fullInstance()
 	cases := workloadCases(t, world().Workload(70))
@@ -86,25 +84,23 @@ func TestShardDifferential(t *testing.T) {
 				t.Fatalf("group N=%d [%s]: %v", n, km.name, err)
 			}
 			for qi, c := range cases {
-				for _, p := range []int{1, 4} {
-					label := fmt.Sprintf("%s [%s N=%d P=%d]", c.id, km.name, n, p)
-					res, err := g.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{Parallelism: p})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					c.check(t, fmt.Sprintf("[%s N=%d P=%d]", km.name, n, p), res.Answers)
-					sameRanking(t, label, res.Answers, unsharded[mi][qi])
-					if n == 1 && !reflect.DeepEqual(res.Answers, unsharded[mi][qi]) {
-						t.Fatalf("%s: answers not fully identical to the unsharded run (derivations included)\n got:  %+v\n want: %+v",
-							label, res.Answers, unsharded[mi][qi])
-					}
-					if len(res.Shards) != len(res.Answers) {
-						t.Fatalf("%s: %d shard attributions for %d answers", label, len(res.Shards), len(res.Answers))
-					}
-					if n >= 2 && km.mode == topk.Incremental {
-						broadcasts += res.Broadcasts
-						crossPrunes += int64(res.Metrics.CrossShardPrunes)
-					}
+				label := fmt.Sprintf("%s [%s N=%d]", c.id, km.name, n)
+				res, err := g.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				c.check(t, fmt.Sprintf("[%s N=%d]", km.name, n), res.Answers)
+				sameRanking(t, label, res.Answers, unsharded[mi][qi])
+				if n == 1 && !reflect.DeepEqual(res.Answers, unsharded[mi][qi]) {
+					t.Fatalf("%s: answers not fully identical to the unsharded run (derivations included)\n got:  %+v\n want: %+v",
+						label, res.Answers, unsharded[mi][qi])
+				}
+				if len(res.Shards) != len(res.Answers) {
+					t.Fatalf("%s: %d shard attributions for %d answers", label, len(res.Shards), len(res.Answers))
+				}
+				if n >= 2 && km.mode == topk.Incremental {
+					broadcasts += res.Broadcasts
+					crossPrunes += int64(res.Metrics.CrossShardPrunes)
 				}
 			}
 		}

@@ -80,9 +80,9 @@ var (
 	// maps this to 429 with a Retry-After hint.
 	ErrOverloaded = errors.New("trinit: engine overloaded")
 	// ErrInternal reports an evaluation panic that was recovered at the
-	// query or worker boundary. The engine stays serviceable; the
-	// returned Result carries any answers found before the panic and a
-	// "panic" trace entry with the captured stack.
+	// query boundary. The engine stays serviceable; the returned Result
+	// carries any answers found before the panic and a "panic" trace
+	// entry with the captured stack.
 	ErrInternal = errors.New("trinit: internal query error")
 )
 
@@ -106,19 +106,11 @@ type Options struct {
 	// pattern entries (default 4096). Least-recently-used lists are
 	// evicted beyond the cap.
 	MatchCacheSize int
-	// Parallelism is the default number of workers each query may use
-	// to evaluate its rewrite space concurrently (overridable per query
-	// with WithParallelism). 0 or 1 keeps the serial schedule — the
-	// default, best for engines already saturated by concurrent
-	// queries; values > 1 use that many workers per query; negative
-	// values use one worker per logical CPU. Answers are byte-identical
-	// at every setting.
-	Parallelism int
 	// AdmissionCapacity enables admission control: the total evaluation
-	// weight (queries × their effective parallelism) allowed to run
-	// concurrently. 0 disables admission — every query runs
-	// immediately, the pre-admission behaviour. Adjustable after
-	// construction with SetAdmissionControl.
+	// weight allowed to run concurrently, where a query weighs 1 and a
+	// sharded query weighs its shard count. 0 disables admission — every
+	// query runs immediately, the pre-admission behaviour. Adjustable
+	// after construction with SetAdmissionControl.
 	AdmissionCapacity int
 	// AdmissionQueue bounds the admission wait queue (queries holding
 	// for capacity). 0 defaults to 4× AdmissionCapacity; beyond the
@@ -378,8 +370,8 @@ func newAdmission(capacity, queue int) *admission.Controller {
 }
 
 // SetAdmissionControl replaces the engine's admission controller:
-// capacity is the total evaluation weight (queries × their effective
-// parallelism) allowed to run concurrently, queue bounds the waiters
+// capacity is the total evaluation weight (1 per query, N per query on
+// N shards) allowed to run concurrently, queue bounds the waiters
 // behind it (0 = 4×capacity). capacity <= 0 disables admission.
 // In-flight queries keep the controller they were admitted by and
 // release back into it, so replacement mid-traffic never leaks or
@@ -887,8 +879,8 @@ type TraceEntry struct {
 	Rules []string
 	// Status is "evaluated", "skipped (weight bound)", "no matches",
 	// "missing projection", "canceled", "budget" (the query's cost
-	// budget ran out at or before this rewrite), or "panic" (this
-	// rewrite's evaluation panicked and was recovered).
+	// budget ran out at or before this rewrite), or "panic" (a last,
+	// synthetic entry: evaluation panicked and was recovered).
 	Status string
 	// Detail carries extra status context — for "panic" entries, the
 	// panic value and recovered stack. Empty otherwise.
@@ -1000,14 +992,13 @@ const (
 // queryConfig is the resolved option set of one query. The zero value
 // reproduces the classic Query behaviour exactly.
 type queryConfig struct {
-	k           int
-	timeout     time.Duration
-	mode        QueryMode
-	parallelism int
-	budget      Budget
-	noTrace     bool
-	noExplain   bool
-	noShard     bool
+	k         int
+	timeout   time.Duration
+	mode      QueryMode
+	budget    Budget
+	noTrace   bool
+	noExplain bool
+	noShard   bool
 }
 
 // QueryOption is a per-query knob of QueryContext, QueryStream and
@@ -1074,26 +1065,6 @@ func WithMode(m QueryMode) QueryOption {
 // marked with a "budget" trace status.
 func WithBudget(b Budget) QueryOption {
 	return func(c *queryConfig) { c.budget = b }
-}
-
-// WithParallelism sets how many workers evaluate this query's rewrite
-// space concurrently: n > 1 uses n workers, n == 1 forces the serial
-// schedule (overriding an engine-wide Options.Parallelism), and n <= 0
-// uses one worker per logical CPU. The final ranking is byte-identical
-// to serial execution at every width — a parallel worker may act on a
-// slightly stale top-k bound, which can only cause extra join work,
-// never a missed or different answer. Parallelism pays off on wide
-// rewrite spaces (relaxation-heavy queries) when the host has idle
-// cores; an engine already saturated by concurrent queries gains
-// nothing from it.
-func WithParallelism(n int) QueryOption {
-	return func(c *queryConfig) {
-		if n <= 0 {
-			c.parallelism = topk.AutoParallelism
-		} else {
-			c.parallelism = n
-		}
-	}
 }
 
 // EventType discriminates the events of a streaming query.
@@ -1170,9 +1141,9 @@ func (e *Engine) QueryContext(ctx context.Context, text string, opts ...QueryOpt
 // processing events to fn: zero or more EventProvisional events as the
 // incremental processor admits answers into its running top-k, then one
 // EventAnswer per final ranked answer, then a terminal EventDone. Calls
-// to fn are serialised, never concurrent; under WithParallelism above 1
-// provisional events may arrive from scheduler worker goroutines rather
-// than the calling goroutine. An error returned from fn stops the query
+// to fn are serialised, never concurrent; on a sharded engine
+// provisional events may arrive from shard goroutines rather than the
+// calling goroutine. An error returned from fn stops the query
 // and is returned verbatim (no done event follows). The final Result is
 // returned as from QueryContext.
 func (e *Engine) QueryStream(ctx context.Context, text string, fn func(AnswerEvent) error, opts ...QueryOption) (*Result, error) {
@@ -1220,19 +1191,15 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 	q.Projection = q.ProjectedVars()
 
 	// Admission: a query weighs as many units as evaluation goroutines
-	// it may occupy, so capacity bounds total evaluation concurrency,
-	// not query count. Shed queries never reach expansion — no work is
-	// wasted on a query the engine cannot run. A sharded query scatters
-	// its evaluation over every shard at once, so it weighs N times a
-	// single-store query of the same parallelism.
+	// it occupies, so capacity bounds total evaluation concurrency, not
+	// query count. Shed queries never reach expansion — no work is
+	// wasted on a query the engine cannot run. A query runs on one
+	// goroutine and weighs 1; a sharded query scatters its evaluation
+	// over every shard at once and weighs N.
 	e.queriesTotal.Add(1)
-	p := cfg.parallelism
-	if p == 0 {
-		p = e.opts.Parallelism
-	}
-	weight := int64(topk.EffectiveParallelism(p))
+	weight := int64(1)
 	if group != nil {
-		weight *= int64(group.Shards())
+		weight = int64(group.Shards())
 	}
 	if err := admit.Acquire(ctx, weight); err != nil {
 		if errors.Is(err, admission.ErrQueueFull) || errors.Is(err, admission.ErrDeadline) {
@@ -1252,7 +1219,7 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 	// the processor unwinds at its next cancellation check.
 	runCtx := ctx
 	var fnErr error
-	rcfg := topk.RunConfig{K: cfg.k, NoTrace: cfg.noTrace, Parallelism: cfg.parallelism, Budget: cfg.budget}
+	rcfg := topk.RunConfig{K: cfg.k, NoTrace: cfg.noTrace, Budget: cfg.budget}
 	if !budgetLimited(cfg.budget) {
 		rcfg.Budget = defBudget
 	}
@@ -1313,12 +1280,10 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 		}
 	default:
 		// The query-level panic boundary: a panic unwinding out of the
-		// serial evaluation path (worker panics are already recovered by
-		// the parallel scheduler and surface as a *topk.PanicError return)
-		// is converted to the same typed error here, keeping the engine —
-		// and the daemon above it — serviceable. The borrowed executor is
-		// returned to the pool only on a clean exit: a panic may leave its
-		// scratch state mid-join.
+		// evaluation is converted to a *topk.PanicError here, keeping the
+		// engine — and the daemon above it — serviceable. The borrowed
+		// executor is returned to the pool only on a clean exit: a panic
+		// may leave its scratch state mid-join.
 		func() {
 			pool := ver.execs
 			ev := pool.Get().(*topk.Executor)
@@ -1349,17 +1314,8 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 		switch {
 		case errors.As(runErr, &pe):
 			e.panicsRecovered.Add(1)
-			// Parallel-worker panics already marked their rewrite's trace
-			// entry; a panic recovered at this boundary (serial path) gets
-			// a synthetic entry so the stack is never lost.
-			marked := false
-			for i := range traces {
-				if traces[i].Status == "panic" {
-					marked = true
-					break
-				}
-			}
-			if !cfg.noTrace && !marked {
+			// A synthetic last trace entry keeps the stack.
+			if !cfg.noTrace {
 				traces = append(traces, TraceEntry{Status: "panic", Detail: pe.Error() + "\n" + string(pe.Stack)})
 			}
 			runErr = fmt.Errorf("%w: %v", ErrInternal, pe.Value)
@@ -1481,7 +1437,6 @@ func publicTraceEntry(t topk.RewriteTrace, shard int) TraceEntry {
 		Weight:         t.Weight,
 		Rules:          t.Rules,
 		Status:         t.Status,
-		Detail:         t.Detail,
 		PatternMatches: t.PatternMatches,
 		Plan:           t.Plan,
 		SemiJoinKept:   t.SemiJoinKept,
@@ -1692,7 +1647,6 @@ func (e *Engine) topkOptions() topk.Options {
 	return topk.Options{
 		K:           e.opts.K,
 		MinTokenSim: e.opts.MinTokenSimilarity,
-		Parallelism: e.opts.Parallelism,
 	}
 }
 

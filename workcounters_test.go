@@ -39,7 +39,7 @@ func renderWorkCounters(t *testing.T) []byte {
 		fmt.Fprintf(&b, "## %s\n", m.name)
 		for _, q := range queries {
 			res, err := e.QueryContext(context.Background(), q.Text,
-				WithK(10), WithParallelism(1), WithMode(m.mode), WithoutExplanations())
+				WithK(10), WithMode(m.mode), WithoutExplanations())
 			if err != nil {
 				t.Fatalf("%s %s: %v", m.name, q.ID, err)
 			}
@@ -109,7 +109,7 @@ func TestWarmRunAllocCeiling(t *testing.T) {
 	exp.MaxDepth, exp.MaxRewrites = 3, 256
 	rewrites := exp.Expand(q)
 	ex := topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{K: 10})
-	cfg := topk.RunConfig{NoTrace: true, Parallelism: 1}
+	cfg := topk.RunConfig{NoTrace: true}
 	if ans, _, err := ex.Run(context.Background(), q, rewrites, cfg); err != nil || len(ans) == 0 {
 		t.Fatalf("warm-up run: %d answers, %v", len(ans), err)
 	}

@@ -306,7 +306,7 @@ func BenchmarkEngineQuery(b *testing.B) {
 	e := NewDemoEngine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Query("SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
+		res, err := e.QueryContext(context.Background(), "SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,9 +344,7 @@ func BenchmarkE8ScoringAblation(b *testing.B) {
 
 // BenchmarkEngineQueryParallel exercises the lock-free read path: one
 // frozen engine, queries from all procs in parallel against the shared
-// match-list cache. Compare ops/s with BenchmarkEngineQuerySerialized
-// (the seed's behaviour, emulated with an external mutex) to see the QPS
-// scaling the concurrent pipeline buys.
+// match-list cache.
 func BenchmarkEngineQueryParallel(b *testing.B) {
 	e := NewDemoEngine()
 	warmEngine(b, e)
@@ -363,29 +361,6 @@ func BenchmarkEngineQueryParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineQuerySerialized is the pre-refactor baseline: identical
-// traffic, but every query serialised behind one mutex, as the seed's
-// engine-wide lock did.
-func BenchmarkEngineQuerySerialized(b *testing.B) {
-	e := NewDemoEngine()
-	warmEngine(b, e)
-	var mu sync.Mutex
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			mu.Lock()
-			err := runDemoQuery(e, i)
-			mu.Unlock()
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-}
-
 var demoBenchQueries = []string{
 	"SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }",
 	"AlbertEinstein hasAdvisor ?x",
@@ -394,7 +369,7 @@ var demoBenchQueries = []string{
 }
 
 func runDemoQuery(e *Engine, i int) error {
-	_, err := e.Query(demoBenchQueries[i%len(demoBenchQueries)])
+	_, err := e.QueryContext(context.Background(), demoBenchQueries[i%len(demoBenchQueries)])
 	return err
 }
 
@@ -416,7 +391,7 @@ func BenchmarkJoinKernel(b *testing.B) {
 	q := query.MustParse("SELECT ?x WHERE { ?x ?p ?y . ?y locatedIn Northford . ?x affiliation ?u }")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(inst.Rules).Expand(q)
-	ev := topk.New(inst.Store, topk.Options{K: 10})
+	ev := topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{K: 10})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ans, _ := ev.Evaluate(q, rewrites)
@@ -438,7 +413,7 @@ func BenchmarkRewriteSpace(b *testing.B) {
 	exp.MaxDepth = 3
 	exp.MaxRewrites = 256
 	rewrites := exp.Expand(q)
-	ev := topk.New(inst.Store, topk.Options{K: 10})
+	ev := topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{K: 10})
 	// Warm the match-list cache so the loop measures rewrite and join
 	// work, not one-off list builds.
 	if ans, _ := ev.Evaluate(q, rewrites); len(ans) == 0 {

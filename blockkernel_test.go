@@ -28,9 +28,9 @@ func TestBlockKernelReferenceDifferentialFuzz(t *testing.T) {
 	inst := fullInstance()
 	v := newPatternVocab(inst.Store, 31)
 	m := score.NewMatcher(inst.Store)
-	evs := make([]*topk.Evaluator, len(kernelModes))
+	evs := make([]*topk.Executor, len(kernelModes))
 	for i, km := range kernelModes {
-		evs[i] = topk.New(inst.Store, topk.Options{K: 10, Mode: km.mode})
+		evs[i] = topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{K: 10, Mode: km.mode})
 	}
 	for round := 0; round < 60; round++ {
 		q := &query.Query{Patterns: []query.Pattern{v.pattern()}}

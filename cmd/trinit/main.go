@@ -234,7 +234,7 @@ func runREPL(engine *trinit.Engine, in io.Reader, out io.Writer) {
 		case strings.HasPrefix(line, "."):
 			fmt.Fprintln(out, "unknown command; try .help")
 		default:
-			res, err := engine.Query(line)
+			res, err := engine.QueryContext(context.Background(), line)
 			if err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
 				break

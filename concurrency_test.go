@@ -5,6 +5,7 @@ package trinit
 // returns exactly the serial baseline's answers. Run with -race.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ func serialBaseline(t *testing.T, queries []string) map[string]*Result {
 	e := NewDemoEngine()
 	out := make(map[string]*Result, len(queries))
 	for _, qs := range queries {
-		res, err := e.Query(qs)
+		res, err := e.QueryContext(context.Background(), qs)
 		if err != nil {
 			t.Fatalf("baseline %s: %v", qs, err)
 		}
@@ -69,7 +70,7 @@ func TestConcurrentQueriesMatchSerialBaseline(t *testing.T) {
 				switch (g + i) % 4 {
 				case 0, 1: // queries dominate, as in real traffic
 					qs := queries[(g*iters+i)%len(queries)]
-					res, err := e.Query(qs)
+					res, err := e.QueryContext(context.Background(), qs)
 					if err != nil {
 						errs <- fmt.Errorf("%s: %v", qs, err)
 						continue
@@ -112,7 +113,7 @@ func TestConcurrentQueriesWithRuleMutation(t *testing.T) {
 	baseline := serialBaseline(t, []string{qs})[qs]
 	plain := NewDemoEngine()
 	plain.ClearRules()
-	unrelaxed, err := plain.Query(qs)
+	unrelaxed, err := plain.QueryContext(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestConcurrentQueriesWithRuleMutation(t *testing.T) {
 		go func() {
 			defer queriers.Done()
 			for i := 0; i < 10; i++ {
-				res, err := e.Query(qs)
+				res, err := e.QueryContext(context.Background(), qs)
 				if err != nil {
 					errs <- err
 					continue
@@ -176,7 +177,7 @@ func TestConcurrentQueriesWithRuleMutation(t *testing.T) {
 	// Each publication reaches the next query.
 	expect := func(step string, want *Result) {
 		t.Helper()
-		res, err := e.Query(qs)
+		res, err := e.QueryContext(context.Background(), qs)
 		if err == nil {
 			err = sameAnswers(want, res)
 		}

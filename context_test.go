@@ -62,46 +62,6 @@ func answersJSON(t *testing.T, res *Result) string {
 	return string(b)
 }
 
-// TestQueryContextDefaultByteIdenticalToQuery pins the compatibility
-// contract on the full 70-query synthetic workload plus the demo
-// queries: QueryContext with a background context and no options is the
-// old Query, byte for byte.
-func TestQueryContextDefaultByteIdenticalToQuery(t *testing.T) {
-	e, queries := syntheticWorkload(t)
-	texts := make([]string, 0, len(queries)+4)
-	for _, q := range queries {
-		texts = append(texts, q.Text)
-	}
-	check := func(t *testing.T, e *Engine, texts []string) {
-		for _, text := range texts {
-			// Warm the shared match-list cache first so both calls see
-			// identical cache metrics (cold vs warm IndexScanned would
-			// otherwise differ for reasons unrelated to the API).
-			_, _ = e.Query(text)
-			classic, err1 := e.Query(text)
-			scoped, err2 := e.QueryContext(context.Background(), text)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%s: Query err=%v, QueryContext err=%v", text, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if a, b := renderResult(t, classic), renderResult(t, scoped); a != b {
-				t.Fatalf("%s: results differ\n Query:        %s\n QueryContext: %s", text, a, b)
-			}
-		}
-	}
-	check(t, e, texts)
-
-	demo := NewDemoEngine()
-	var demoTexts []string
-	for _, dq := range DemoQueries() {
-		demoTexts = append(demoTexts, dq.Query)
-	}
-	demoTexts = append(demoTexts, "?x ?p ?y", "?x bornIn ?y . ?y locatedIn ?z")
-	check(t, demo, demoTexts)
-}
-
 func TestQueryContextCanceledBeforeEvaluate(t *testing.T) {
 	e := NewDemoEngine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -177,7 +137,7 @@ func TestQueryContextCancelMidJoin(t *testing.T) {
 // the same executor pool (the old Executor.SetK mutated shared state).
 func TestConcurrentPerQueryKDoesNotBleed(t *testing.T) {
 	e := NewDemoEngine()
-	baseline, err := e.Query("?x ?p ?y")
+	baseline, err := e.QueryContext(context.Background(), "?x ?p ?y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +165,7 @@ func TestConcurrentPerQueryKDoesNotBleed(t *testing.T) {
 					res, err = e.QueryContext(context.Background(), "?x ?p ?y", WithK(5))
 				default:
 					want = defaultN
-					res, err = e.Query("?x ?p ?y")
+					res, err = e.QueryContext(context.Background(), "?x ?p ?y")
 				}
 				if err != nil {
 					errs <- err
@@ -229,7 +189,7 @@ func TestQueryStreamEventOrdering(t *testing.T) {
 	const text = "AlbertEinstein hasAdvisor ?x"
 	// Warm the cache so the streamed and batch runs below see the same
 	// cache metrics.
-	if _, err := e.Query(text); err != nil {
+	if _, err := e.QueryContext(context.Background(), text); err != nil {
 		t.Fatal(err)
 	}
 	var events []AnswerEvent
@@ -409,7 +369,7 @@ func TestWithKRespectsQueryLimit(t *testing.T) {
 
 func TestTypedSentinelErrors(t *testing.T) {
 	e := New(nil)
-	if _, err := e.Query("?x bornIn Ulm"); !errors.Is(err, ErrNotFrozen) {
+	if _, err := e.QueryContext(context.Background(), "?x bornIn Ulm"); !errors.Is(err, ErrNotFrozen) {
 		t.Fatalf("Query before Freeze: err = %v, want ErrNotFrozen", err)
 	}
 	if _, _, err := e.Ask("Who advised Einstein?"); !errors.Is(err, ErrNotFrozen) {
@@ -431,7 +391,7 @@ func TestTypedSentinelErrors(t *testing.T) {
 	if _, err := e.ExtendFromDocuments(nil); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("ExtendFromDocuments after Freeze: err = %v, want ErrFrozen", err)
 	}
-	if _, err := e.Query("not a 'query"); !errors.Is(err, ErrParse) {
+	if _, err := e.QueryContext(context.Background(), "not a 'query"); !errors.Is(err, ErrParse) {
 		t.Fatalf("malformed query: err = %v, want ErrParse", err)
 	} else if !strings.Contains(err.Error(), "parse error") {
 		t.Fatalf("parse error lost its detail: %v", err)

@@ -146,7 +146,7 @@ func TestPersistOpenRoundTrip(t *testing.T) {
 		t.Fatalf("recovery info: %+v", info)
 	}
 	sameEngineState(t, NewDemoEngine(), back)
-	res, err := back.Query("AlbertEinstein hasAdvisor ?x")
+	res, err := back.QueryContext(context.Background(), "AlbertEinstein hasAdvisor ?x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestOpenEmptyDirIngestRecovery(t *testing.T) {
 	if !final.Frozen() || final.Stats().Triples != 2 {
 		t.Fatalf("post-checkpoint engine: frozen=%v triples=%d", final.Frozen(), final.Stats().Triples)
 	}
-	res, err := final.Query("AlbertEinstein ?p ?o")
+	res, err := final.QueryContext(context.Background(), "AlbertEinstein ?p ?o")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestOpenEmptyDirIngestRecovery(t *testing.T) {
 // a query's trace lists.
 func rewriteRules(t *testing.T, e *Engine, q string) map[string]bool {
 	t.Helper()
-	res, err := e.Query(q)
+	res, err := e.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trinit_test
 
 import (
+	"context"
 	"fmt"
 
 	"trinit"
@@ -10,14 +11,14 @@ import (
 // mis-directed query — relaxation inverts it.
 func ExampleNewDemoEngine() {
 	e := trinit.NewDemoEngine()
-	res, _ := e.Query("AlbertEinstein hasAdvisor ?x")
+	res, _ := e.QueryContext(context.Background(), "AlbertEinstein hasAdvisor ?x")
 	fmt.Println(res.Answers[0].Bindings["x"])
 	// Output: AlfredKleiner
 }
 
 // Building an engine from scratch: curated facts, a text extension, a
 // manual rule, and a query that needs all three.
-func ExampleEngine_Query() {
+func ExampleEngine_QueryContext() {
 	e := trinit.New(nil)
 	e.AddKGFact("AlbertEinstein", "affiliation", "IAS")
 	e.AddKGFact("PrincetonUniversity", "member", "IvyLeague")
@@ -27,7 +28,7 @@ func ExampleEngine_Query() {
 	e.Freeze()
 	e.AddRule("r3", "?x affiliation ?y => ?x affiliation ?z ; ?z 'housed in' ?y", 0.8)
 
-	res, _ := e.Query("SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
+	res, _ := e.QueryContext(context.Background(), "SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
 	for _, a := range res.Answers {
 		fmt.Printf("%s %.2f\n", a.Bindings["x"], a.Score)
 	}
@@ -47,7 +48,7 @@ func ExampleEngine_Ask() {
 }
 
 // Token queries receive canonical-vocabulary suggestions (§5).
-func ExampleEngine_Query_suggestions() {
+func ExampleEngine_QueryContext_suggestions() {
 	e := trinit.New(nil)
 	e.AddKGFact("Alice", "worksFor", "Acme")
 	e.AddKGFact("Bob", "worksFor", "Globex")
@@ -55,7 +56,7 @@ func ExampleEngine_Query_suggestions() {
 	e.AddTokenTriple("Bob", "works at", "Globex", 0.8, "", "")
 	e.Freeze()
 
-	res, _ := e.Query("?x 'works at' ?y")
+	res, _ := e.QueryContext(context.Background(), "?x 'works at' ?y")
 	for _, s := range res.Suggestions {
 		fmt.Printf("replace '%s' with %s\n", s.Token, s.Resource)
 	}
@@ -83,9 +84,9 @@ func ExampleEngine_MineRules() {
 
 // Every answer carries its full provenance: contributing KG and XKG
 // triples (with source documents) and the relaxation rules invoked.
-func ExampleEngine_Query_explanation() {
+func ExampleEngine_QueryContext_explanation() {
 	e := trinit.NewDemoEngine()
-	res, _ := e.Query("SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
+	res, _ := e.QueryContext(context.Background(), "SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
 	ex := res.Answers[0].Explanation
 	fmt.Println(len(ex.KGTriples), "KG triples,", len(ex.XKGTriples), "XKG triple(s)")
 	fmt.Println("rule:", ex.Rules[0].ID)

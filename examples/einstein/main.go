@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func main() {
 	for _, dq := range trinit.DemoQueries() {
 		fmt.Printf("== user %s: %s\n", dq.User, dq.Need)
 		fmt.Printf("   query: %s\n", dq.Query)
-		res, err := e.Query(dq.Query)
+		res, err := e.QueryContext(context.Background(), dq.Query)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 		}
 		shown++
 		fmt.Printf("== %s (%s)\n   %s\n", wq.ID, wq.Category, wq.Text)
-		res, err := engine.Query(wq.Text + " LIMIT 5")
+		res, err := engine.QueryContext(context.Background(), wq.Text+" LIMIT 5")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func main() {
 	// different sources.
 	q := "SELECT ?x ?u WHERE { ?x affiliation ?u . ?u member IvyLeague } LIMIT 5"
 	fmt.Printf("== entity-pair query (returns tuples, §5)\n   %s\n", q)
-	res, err := engine.Query(q)
+	res, err := engine.QueryContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func main() {
 	// Ivy League institutions.
 	q = "SELECT ?x WHERE { ?x affiliation ?u . ?u member IvyLeague . ?x bornOn ?d . FILTER(?d < '1900-01-01') } LIMIT 5"
 	fmt.Printf("\n== filtered query (birth date before 1900)\n   %s\n", q)
-	res, err = engine.Query(q)
+	res, err = engine.QueryContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

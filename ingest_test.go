@@ -121,13 +121,13 @@ func compareIngest(t *testing.T, got, want *Engine, label string) {
 	t.Helper()
 	_, queries := ingestWorld()
 	for _, q := range queries {
-		_, _ = got.Query(q)
-		_, _ = want.Query(q)
-		g, err := got.Query(q)
+		_, _ = got.QueryContext(context.Background(), q)
+		_, _ = want.QueryContext(context.Background(), q)
+		g, err := got.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %q: %v", label, q, err)
 		}
-		w, err := want.Query(q)
+		w, err := want.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s oracle: %q: %v", label, q, err)
 		}
@@ -268,7 +268,7 @@ func TestIngestLazyExplainAfterCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eager.Query(q)
+	want, err := eager.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,14 +28,14 @@ func TestDemoScenarioUsersAToD(t *testing.T) {
 
 		// Without relaxation.
 		plain := relax.NewExpander(nil).Expand(q)
-		ansPlain, _ := topk.New(d.Store, topk.Options{K: 5}).Evaluate(q, plain)
+		ansPlain, _ := topk.NewExecutor(d.Store, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, plain)
 		if dq.EmptyWithoutRelaxation && len(ansPlain) != 0 {
 			t.Errorf("user %s: expected empty answer without relaxation, got %d", dq.User, len(ansPlain))
 		}
 
 		// With the Figure 4 rules.
 		rws := relax.NewExpander(d.Rules).Expand(q)
-		ans, _ := topk.New(d.Store, topk.Options{K: 5}).Evaluate(q, rws)
+		ans, _ := topk.NewExecutor(d.Store, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, rws)
 		if len(ans) == 0 {
 			t.Fatalf("user %s: no answers with relaxation", dq.User)
 		}

@@ -67,7 +67,7 @@ func RunE7(w *dataset.World, numQueries int) []E7Row {
 	for _, cfg := range configs {
 		cum = append(cum, cfg.rules...)
 		rules := append([]*relax.Rule(nil), cum...)
-		ev := topk.New(st, topk.Options{K: 10})
+		ev := topk.NewExecutor(st, topk.NewCache(0), topk.Options{K: 10})
 		var ndcg []float64
 		var rewrites float64
 		n := 0
@@ -134,7 +134,7 @@ func RunE8(w *dataset.World, numQueries int) []E8Row {
 	}
 	var rows []E8Row
 	for _, cfg := range configs {
-		ev := topk.New(inst.Store, topk.Options{
+		ev := topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{
 			K: 10, UniformConf: cfg.uniformConf, NoNormalize: cfg.noNormalize,
 		})
 		var results []eval.QueryResult

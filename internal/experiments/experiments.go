@@ -46,7 +46,7 @@ func Systems() []System {
 type Instance struct {
 	Store      *store.Store
 	Rules      []*relax.Rule
-	evaluators map[topk.Mode]*topk.Evaluator
+	evaluators map[topk.Mode]*topk.Executor
 }
 
 // Build constructs an instance of a system over a generated world.
@@ -83,11 +83,11 @@ func (inst *Instance) RunQuery(text, projVar string, k int, mode topk.Mode) ([]s
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(inst.Rules).Expand(q)
 	if inst.evaluators == nil {
-		inst.evaluators = make(map[topk.Mode]*topk.Evaluator)
+		inst.evaluators = make(map[topk.Mode]*topk.Executor)
 	}
 	ev, ok := inst.evaluators[mode]
 	if !ok {
-		ev = topk.New(inst.Store, topk.Options{Mode: mode})
+		ev = topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{Mode: mode})
 		inst.evaluators[mode] = ev
 	}
 	answers, m, _ := ev.Run(context.Background(), q, rewrites, topk.RunConfig{K: k})
@@ -270,8 +270,8 @@ func RunE3() []E3Row {
 		q := query.MustParse(dq.Query)
 		q.Projection = q.ProjectedVars()
 
-		plain, _ := topk.New(d.Store, topk.Options{K: 5}).Evaluate(q, relax.NewExpander(nil).Expand(q))
-		full, _ := topk.New(d.Store, topk.Options{K: 5}).Evaluate(q, relax.NewExpander(d.Rules).Expand(q))
+		plain, _ := topk.NewExecutor(d.Store, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, relax.NewExpander(nil).Expand(q))
+		full, _ := topk.NewExecutor(d.Store, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, relax.NewExpander(d.Rules).Expand(q))
 
 		row := E3Row{
 			User:           dq.User,
@@ -543,7 +543,7 @@ func RunE5Depth(w *dataset.World, numQueries int, depths []int) []E5DepthRow {
 	workload := w.Workload(numQueries)
 	var rows []E5DepthRow
 	for _, d := range depths {
-		ev := topk.New(inst.Store, topk.Options{K: 10})
+		ev := topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{K: 10})
 		var rewrites, ms float64
 		var ndcg []float64
 		n := 0

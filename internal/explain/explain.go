@@ -17,49 +17,47 @@ import (
 	"trinit/internal/topk"
 )
 
-// TripleInfo describes one contributing triple.
-type TripleInfo struct {
-	// Text is the rendered triple.
+// Explanation is the provenance of a single answer.
+type Explanation struct {
+	// OriginalQuery and RewrittenQuery show what relaxation changed.
+	OriginalQuery  string
+	RewrittenQuery string
+	// Weight is the derivation weight.
+	Weight float64
+	// KGTriples and XKGTriples are the contributing facts, split by
+	// source as in the demo interface. Both are non-nil.
+	KGTriples  []TripleEvidence
+	XKGTriples []TripleEvidence
+	// Rules are the relaxation rules invoked, in application order (nil
+	// when none was).
+	Rules []RuleEvidence
+	// Text is the rendered multi-line explanation, in the spirit of the
+	// demo's answer-explanation pane.
 	Text string
+}
+
+// TripleEvidence is one contributing triple.
+type TripleEvidence struct {
+	// Triple is the rendered triple.
+	Triple string
 	// Pattern is the rewritten-query pattern the triple matched.
 	Pattern string
-	// JoinStep is the 1-based position at which the query planner
-	// joined this pattern (selectivity order, not query-text order).
-	JoinStep int
-	// Source is KG or XKG.
-	Source rdf.Source
-	// Conf is the triple's confidence.
-	Conf float64
+	// Source is "KG" or "XKG".
+	Source string
+	// Confidence is the triple's confidence.
+	Confidence float64
 	// Prob is the pattern's emission probability for this triple.
 	Prob float64
 	// Doc and Sentence carry provenance for XKG triples.
 	Doc, Sentence string
 }
 
-// RuleInfo describes one invoked relaxation rule.
-type RuleInfo struct {
+// RuleEvidence is one invoked relaxation rule.
+type RuleEvidence struct {
 	ID     string
 	Rule   string
-	Weight float64
 	Origin string
-}
-
-// Explanation is the provenance of a single answer.
-type Explanation struct {
-	// OriginalQuery and RewrittenQuery show what relaxation changed.
-	OriginalQuery  string
-	RewrittenQuery string
-	// Score is the answer's final score; Weight the derivation weight.
-	Score  float64
 	Weight float64
-	// Bindings renders the projected variable bindings.
-	Bindings map[string]string
-	// KGTriples and XKGTriples are the contributing facts, split by
-	// source as in the demo interface.
-	KGTriples  []TripleInfo
-	XKGTriples []TripleInfo
-	// Rules are the relaxation rules invoked, in application order.
-	Rules []RuleInfo
 }
 
 // Explain builds the explanation of an answer produced by the evaluator.
@@ -68,68 +66,65 @@ func Explain(st *store.Store, original *query.Query, a topk.Answer) Explanation 
 	ex := Explanation{
 		OriginalQuery:  original.String(),
 		RewrittenQuery: d.Rewrite.Query.String(),
-		Score:          a.Score,
 		Weight:         d.Rewrite.Weight,
-		Bindings:       make(map[string]string, len(a.Bindings)),
 	}
-	for v, id := range a.Bindings {
-		ex.Bindings[v] = st.Dict().Term(id).String()
+	// One backing array holds both sources' evidence: KG triples fill
+	// the front, XKG triples the back.
+	nKG := 0
+	for _, id := range d.Triples {
+		if st.Triple(id).Source == rdf.SourceKG {
+			nKG++
+		}
 	}
-	// joinStep maps pattern index -> 1-based position in the planner's
-	// join order, so explanations reflect how the answer was assembled.
-	joinStep := make(map[int]int, len(d.Plan))
-	for step, pi := range d.Plan {
-		joinStep[pi] = step + 1
-	}
+	evidence := make([]TripleEvidence, len(d.Triples))
+	ex.KGTriples, ex.XKGTriples = evidence[:0:nKG], evidence[nKG:nKG]
 	for i, id := range d.Triples {
 		tr := st.Triple(id)
-		info := TripleInfo{
-			Text:     tr.Format(st.Dict()),
-			Source:   tr.Source,
-			Conf:     tr.Conf,
-			JoinStep: i + 1,
-		}
-		if s, ok := joinStep[i]; ok {
-			info.JoinStep = s
+		te := TripleEvidence{
+			Triple:     tr.Format(st.Dict()),
+			Source:     tr.Source.String(),
+			Confidence: tr.Conf,
 		}
 		if i < len(d.Rewrite.Query.Patterns) {
-			info.Pattern = d.Rewrite.Query.Patterns[i].String()
+			te.Pattern = d.Rewrite.Query.Patterns[i].String()
 		}
 		if i < len(d.PatternProbs) {
-			info.Prob = d.PatternProbs[i]
+			te.Prob = d.PatternProbs[i]
 		}
 		if tr.Source == rdf.SourceKG {
-			ex.KGTriples = append(ex.KGTriples, info)
+			ex.KGTriples = append(ex.KGTriples, te)
 		} else {
 			prov := st.Prov().Get(tr.Prov)
-			info.Doc = prov.Doc
-			info.Sentence = prov.Sentence
-			ex.XKGTriples = append(ex.XKGTriples, info)
+			te.Doc = prov.Doc
+			te.Sentence = prov.Sentence
+			ex.XKGTriples = append(ex.XKGTriples, te)
 		}
 	}
 	for _, r := range d.Rewrite.Applied {
-		ex.Rules = append(ex.Rules, RuleInfo{
+		ex.Rules = append(ex.Rules, RuleEvidence{
 			ID:     r.ID,
 			Rule:   r.String(),
-			Weight: r.Weight,
 			Origin: r.Origin,
+			Weight: r.Weight,
 		})
 	}
+	ex.Text = render(st.Dict(), a.Score, a.Bindings, &ex)
 	return ex
 }
 
-// String renders the explanation as indented text, in the spirit of the
-// demo's answer-explanation pane.
-func (ex Explanation) String() string {
+// render formats the explanation text: the answer's score and bindings
+// (variables in name order), the invoked relaxations, and the
+// contributing triples by source.
+func render(dict *rdf.Dict, score float64, bindings map[string]rdf.TermID, ex *Explanation) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "answer (score %.4f):\n", ex.Score)
-	vars := make([]string, 0, len(ex.Bindings))
-	for v := range ex.Bindings {
+	fmt.Fprintf(&b, "answer (score %.4f):\n", score)
+	vars := make([]string, 0, len(bindings))
+	for v := range bindings {
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
 	for _, v := range vars {
-		fmt.Fprintf(&b, "  ?%s = %s\n", v, ex.Bindings[v])
+		fmt.Fprintf(&b, "  ?%s = %s\n", v, dict.Term(bindings[v]).String())
 	}
 	if len(ex.Rules) > 0 {
 		fmt.Fprintf(&b, "relaxations invoked (derivation weight %.2f):\n", ex.Weight)
@@ -143,13 +138,13 @@ func (ex Explanation) String() string {
 	if len(ex.KGTriples) > 0 {
 		b.WriteString("KG triples:\n")
 		for _, t := range ex.KGTriples {
-			fmt.Fprintf(&b, "  %s  (matched %s, P=%.3f)\n", t.Text, t.Pattern, t.Prob)
+			fmt.Fprintf(&b, "  %s  (matched %s, P=%.3f)\n", t.Triple, t.Pattern, t.Prob)
 		}
 	}
 	if len(ex.XKGTriples) > 0 {
 		b.WriteString("XKG triples:\n")
 		for _, t := range ex.XKGTriples {
-			fmt.Fprintf(&b, "  %s  (conf %.2f, matched %s, P=%.3f)\n", t.Text, t.Conf, t.Pattern, t.Prob)
+			fmt.Fprintf(&b, "  %s  (conf %.2f, matched %s, P=%.3f)\n", t.Triple, t.Confidence, t.Pattern, t.Prob)
 			if t.Doc != "" {
 				fmt.Fprintf(&b, "    source: %s: %q\n", t.Doc, t.Sentence)
 			}

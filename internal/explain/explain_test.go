@@ -28,7 +28,7 @@ func userCAnswer(t *testing.T, st *store.Store) (*query.Query, topk.Answer) {
 		relax.MustParseRule("r3", "?x affiliation ?y => ?x affiliation ?z ; ?z 'housed in' ?y", 0.8, "manual"),
 	}
 	rewrites := relax.NewExpander(rules).Expand(q)
-	ans, _ := topk.New(st, topk.Options{K: 5}).Evaluate(q, rewrites)
+	ans, _ := topk.NewExecutor(st, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, rewrites)
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d, want 1", len(ans))
 	}
@@ -49,8 +49,8 @@ func TestExplainSplitsKGAndXKG(t *testing.T) {
 	if x.Doc != "clueweb-17" || !strings.Contains(x.Sentence, "housed in Princeton") {
 		t.Fatalf("XKG provenance = %+v", x)
 	}
-	if x.Conf != 0.8 {
-		t.Fatalf("XKG conf = %v", x.Conf)
+	if x.Confidence != 0.8 {
+		t.Fatalf("XKG conf = %v", x.Confidence)
 	}
 }
 
@@ -67,8 +67,8 @@ func TestExplainReportsRules(t *testing.T) {
 	if ex.OriginalQuery == ex.RewrittenQuery {
 		t.Fatal("rewritten query equals original despite relaxation")
 	}
-	if ex.Bindings["x"] != "PrincetonUniversity" {
-		t.Fatalf("bindings = %v", ex.Bindings)
+	if !strings.Contains(ex.Text, "?x = PrincetonUniversity") {
+		t.Fatalf("bindings missing from the text:\n%s", ex.Text)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestExplainNoRelaxation(t *testing.T) {
 	st := demoXKG()
 	q := query.MustParse("AlbertEinstein affiliation ?x")
 	rewrites := relax.NewExpander(nil).Expand(q)
-	ans, _ := topk.New(st, topk.Options{K: 5}).Evaluate(q, rewrites)
+	ans, _ := topk.NewExecutor(st, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, rewrites)
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d", len(ans))
 	}
@@ -87,16 +87,15 @@ func TestExplainNoRelaxation(t *testing.T) {
 	if len(ex.KGTriples) != 1 || len(ex.XKGTriples) != 0 {
 		t.Fatalf("triples: KG=%d XKG=%d", len(ex.KGTriples), len(ex.XKGTriples))
 	}
-	s := ex.String()
-	if !strings.Contains(s, "no relaxation needed") {
-		t.Errorf("String() = %q", s)
+	if !strings.Contains(ex.Text, "no relaxation needed") {
+		t.Errorf("Text = %q", ex.Text)
 	}
 }
 
 func TestExplanationString(t *testing.T) {
 	st := demoXKG()
 	q, a := userCAnswer(t, st)
-	s := Explain(st, q, a).String()
+	s := Explain(st, q, a).Text
 	for _, want := range []string{
 		"?x = PrincetonUniversity",
 		"relaxations invoked",
@@ -118,10 +117,10 @@ func TestExplainPatternProbabilities(t *testing.T) {
 	ex := Explain(st, q, a)
 	for _, ti := range append(ex.KGTriples, ex.XKGTriples...) {
 		if ti.Prob <= 0 || ti.Prob > 1 {
-			t.Errorf("pattern prob = %v for %s", ti.Prob, ti.Text)
+			t.Errorf("pattern prob = %v for %s", ti.Prob, ti.Triple)
 		}
 		if ti.Pattern == "" {
-			t.Errorf("pattern missing for %s", ti.Text)
+			t.Errorf("pattern missing for %s", ti.Triple)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestQAEndToEndOnDemo(t *testing.T) {
 		q := query.MustParse(tl.Query)
 		q.Projection = q.ProjectedVars()
 		rewrites := relax.NewExpander(d.Rules).Expand(q)
-		ans, _ := topk.New(d.Store, topk.Options{K: 5}).Evaluate(q, rewrites)
+		ans, _ := topk.NewExecutor(d.Store, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, rewrites)
 		if len(ans) == 0 {
 			t.Fatalf("%q: no answers via %q", tc.question, tl.Query)
 		}

@@ -248,7 +248,7 @@ func RuleNotices(answers []topk.Answer) []Notice {
 			byID[r.ID].notice.Answers++
 		}
 	}
-	out := make([]Notice, 0, len(order))
+	var out []Notice
 	for _, id := range order {
 		out = append(out, byID[id].notice)
 	}

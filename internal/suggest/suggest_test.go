@@ -125,7 +125,7 @@ func TestRuleNotices(t *testing.T) {
 		relax.MustParseRule("r2", "?x hasAdvisor ?y => ?y hasStudent ?x", 1.0, "inversion"),
 	}
 	rewrites := relax.NewExpander(rules).Expand(q)
-	ans, _ := topk.New(st, topk.Options{K: 5}).Evaluate(q, rewrites)
+	ans, _ := topk.NewExecutor(st, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, rewrites)
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d", len(ans))
 	}
@@ -146,7 +146,7 @@ func TestRuleNoticesEmptyWithoutRelaxation(t *testing.T) {
 	st := suggestStore()
 	q := query.MustParse("?x worksFor ?y")
 	rewrites := relax.NewExpander(nil).Expand(q)
-	ans, _ := topk.New(st, topk.Options{K: 5}).Evaluate(q, rewrites)
+	ans, _ := topk.NewExecutor(st, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, rewrites)
 	if len(ans) == 0 {
 		t.Fatal("no answers")
 	}
@@ -165,7 +165,7 @@ func TestRuleNoticesCountAnswers(t *testing.T) {
 		relax.MustParseRule("r2", "?x hasAdvisor ?y => ?y hasStudent ?x", 1.0, "inversion"),
 	}
 	rewrites := relax.NewExpander(rules).Expand(q)
-	ans, _ := topk.New(st, topk.Options{K: 5}).Evaluate(q, rewrites)
+	ans, _ := topk.NewExecutor(st, topk.NewCache(0), topk.Options{K: 5}).Evaluate(q, rewrites)
 	notices := RuleNotices(ans)
 	if len(notices) != 1 || notices[0].Answers != 2 {
 		t.Fatalf("notices = %+v", notices)

@@ -50,13 +50,13 @@ func TestKernelEnumeratesTiedBranch(t *testing.T) {
 		{Query: query.MustParse("SELECT ?x WHERE { ?x sa ?y . ?y qb ?z }"), Weight: w},
 	}
 
-	inc := New(st, Options{K: 1, Mode: Incremental})
+	inc := NewExecutor(st, NewCache(0), Options{K: 1, Mode: Incremental})
 	got, _ := inc.Evaluate(q, rewrites)
 	if tr := inc.LastTrace(); tr[1].Status != "evaluated" || tr[1].Answers != ma {
 		t.Fatalf("second rewrite: status %q, %d answers recorded, want evaluated with %d (ma=%d mp=%d)",
 			tr[1].Status, tr[1].Answers, ma, ma, mp)
 	}
-	want, _ := New(st, Options{K: 1, Mode: Exhaustive}).Evaluate(q, rewrites)
+	want, _ := NewExecutor(st, NewCache(0), Options{K: 1, Mode: Exhaustive}).Evaluate(q, rewrites)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("incremental %v, exhaustive %v", got, want)
 	}

@@ -21,7 +21,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(figure4()).Expand(q)
 
-	baseline, _ := New(st, Options{K: 5}).Evaluate(q, rewrites)
+	baseline, _ := NewExecutor(st, NewCache(0), Options{K: 5}).Evaluate(q, rewrites)
 
 	const goroutines = 16
 	var built atomic.Int64
@@ -41,7 +41,7 @@ func TestCacheSingleFlight(t *testing.T) {
 
 	// Distinct patterns across the rewrite space, as a serial evaluator
 	// with a fresh cache would build them.
-	_, serial := New(st, Options{K: 5}).Evaluate(q, rewrites)
+	_, serial := NewExecutor(st, NewCache(0), Options{K: 5}).Evaluate(q, rewrites)
 	if got, want := int(built.Load()), serial.PatternsMatched; got != want {
 		t.Errorf("concurrent builds = %d, want %d (single flight)", got, want)
 	}
@@ -110,8 +110,8 @@ func TestEvaluatorPrivateCacheIsolated(t *testing.T) {
 	q := query.MustParse("?x bornIn ?y")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
-	a := New(st, Options{K: 5})
-	b := New(st, Options{K: 5})
+	a := NewExecutor(st, NewCache(0), Options{K: 5})
+	b := NewExecutor(st, NewCache(0), Options{K: 5})
 	_, m1 := a.Evaluate(q, rewrites)
 	_, m2 := b.Evaluate(q, rewrites)
 	if m1.PatternsMatched == 0 || m2.PatternsMatched == 0 {

@@ -145,7 +145,7 @@ func checkReference(t *testing.T, st *store.Store, qs string, rules []*relax.Rul
 	rewrites := relax.NewExpander(rules).Expand(q)
 	want := reference.Evaluate(score.NewMatcher(st), q.Projection, rewrites)
 	for _, mode := range []Mode{Incremental, Exhaustive} {
-		ev := New(st, Options{K: k, Mode: mode})
+		ev := NewExecutor(st, NewCache(0), Options{K: k, Mode: mode})
 		got, _, err := ev.Run(context.Background(), q, rewrites, RunConfig{})
 		if err != nil {
 			t.Fatalf("%s (%v): %v", qs, mode, err)
@@ -168,7 +168,7 @@ func TestHashJoinProbesReduceWork(t *testing.T) {
 	q := query.MustParse("SELECT ?x ?y WHERE { ?x p ?y . ?x q Z }")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
-	_, m := New(st, Options{K: 10, Mode: Exhaustive}).Evaluate(q, rewrites)
+	_, m := NewExecutor(st, NewCache(0), Options{K: 10, Mode: Exhaustive}).Evaluate(q, rewrites)
 	const scanned = 60 + 1
 	if m.HashProbes == 0 {
 		t.Fatalf("kernel issued no probes: %+v", m)
@@ -191,7 +191,7 @@ func TestSemiJoinEmptiesDeadRewrite(t *testing.T) {
 	q := query.MustParse("SELECT ?x WHERE { ?x affiliation ?u . ?u member ?l }")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
-	ev := New(st, Options{K: 5})
+	ev := NewExecutor(st, NewCache(0), Options{K: 5})
 	ans, m := ev.Evaluate(q, rewrites)
 	if len(ans) != 0 {
 		t.Fatalf("answers = %d, want 0", len(ans))

@@ -34,7 +34,7 @@ func TestPlannerReducesJoinWork(t *testing.T) {
 	q := query.MustParse(qs)
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
-	ev := New(st, Options{K: 10, Mode: Exhaustive})
+	ev := NewExecutor(st, NewCache(0), Options{K: 10, Mode: Exhaustive})
 	answers, m := ev.Evaluate(q, rewrites)
 	if len(answers) != 1 {
 		t.Fatalf("answers = %d, want 1", len(answers))
@@ -57,7 +57,7 @@ func TestPlannerEarlyAbortSkipsListBuilds(t *testing.T) {
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
 
-	ev := New(st, Options{K: 10})
+	ev := NewExecutor(st, NewCache(0), Options{K: 10})
 	ans, m := ev.Evaluate(q, rewrites)
 	if len(ans) != 0 {
 		t.Fatalf("answers = %d, want 0", len(ans))
@@ -76,13 +76,13 @@ func TestPlannerEarlyAbortSkipsListBuilds(t *testing.T) {
 }
 
 // TestPlanRecordedInTraceAndDerivation: the processed pattern order is
-// surfaced both in the rewrite trace and in answer derivations.
+// surfaced in the rewrite trace.
 func TestPlanRecordedInTraceAndDerivation(t *testing.T) {
 	st := skewedStore(12)
 	q := query.MustParse("SELECT ?x ?y WHERE { ?x p ?y . ?x q Z }")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
-	ev := New(st, Options{K: 10})
+	ev := NewExecutor(st, NewCache(0), Options{K: 10})
 	ans, _ := ev.Evaluate(q, rewrites)
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d", len(ans))
@@ -91,10 +91,6 @@ func TestPlanRecordedInTraceAndDerivation(t *testing.T) {
 	gotTrace := ev.LastTrace()[0].Plan
 	if len(gotTrace) != 2 || gotTrace[0] != wantOrder[0] || gotTrace[1] != wantOrder[1] {
 		t.Errorf("trace plan = %v, want %v", gotTrace, wantOrder)
-	}
-	gotDeriv := ans[0].Derivation.Plan
-	if len(gotDeriv) != 2 || gotDeriv[0] != wantOrder[0] || gotDeriv[1] != wantOrder[1] {
-		t.Errorf("derivation plan = %v, want %v", gotDeriv, wantOrder)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // other — a rewrite space of rels rewrites whose joins each walk perRel
 // branches, so a cancellation or budget poll (every 256 branches) is
 // guaranteed mid-rewrite.
-func wideFixture(t *testing.T, perRel, rels int, opts Options) (*Evaluator, *query.Query, []relax.Rewrite) {
+func wideFixture(t *testing.T, perRel, rels int, opts Options) (*Executor, *query.Query, []relax.Rewrite) {
 	t.Helper()
 	st := store.New(nil, nil)
 	for r := 0; r < rels; r++ {
@@ -47,7 +47,7 @@ func wideFixture(t *testing.T, perRel, rels int, opts Options) (*Evaluator, *que
 	if len(rewrites) != rels {
 		t.Fatalf("rewrite space has %d rewrites, want %d", len(rewrites), rels)
 	}
-	return New(st, opts), q, rewrites
+	return NewExecutor(st, NewCache(0), opts), q, rewrites
 }
 
 // TestBudgetZeroIsUnlimited: the zero Budget means no limits — the run
@@ -125,7 +125,7 @@ func TestBudgetExhaustionSerial(t *testing.T) {
 // work the HashProbes and Blocks budget dimensions meter. The rewrite
 // space is just the identity rewrite; exhaustion must therefore be
 // detected mid-join, at the every-256-branches poll.
-func joinFixture(t *testing.T, n int) (*Evaluator, *query.Query, []relax.Rewrite) {
+func joinFixture(t *testing.T, n int) (*Executor, *query.Query, []relax.Rewrite) {
 	t.Helper()
 	st := store.New(nil, nil)
 	for i := 0; i < n; i++ {
@@ -138,7 +138,7 @@ func joinFixture(t *testing.T, n int) (*Evaluator, *query.Query, []relax.Rewrite
 	q := query.MustParse("?x 'jrel0' ?y . ?y 'jrel1' ?z")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
-	return New(st, Options{K: 5, Mode: Exhaustive}), q, rewrites
+	return NewExecutor(st, NewCache(0), Options{K: 5, Mode: Exhaustive}), q, rewrites
 }
 
 // TestBudgetHashProbesAndBlocks: the other two budget dimensions trip

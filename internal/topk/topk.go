@@ -150,9 +150,6 @@ type Derivation struct {
 	Triples []store.ID
 	// PatternProbs holds the per-pattern emission probabilities.
 	PatternProbs []float64
-	// Plan holds the pattern indices in the join order the planner
-	// chose. Shared, read-only.
-	Plan []int
 }
 
 // Metrics quantify the work done, for the E5 efficiency experiment.
@@ -189,15 +186,6 @@ type Metrics struct {
 	// across rewrites and queries do not re-count (mirroring
 	// IndexScanned and PatternsMatched).
 	SemiJoinDropped int
-	// BlocksEmitted counts join-frontier blocks the join kernel handed
-	// from one join depth to the next (the final depth's blocks go to
-	// answer materialisation), single-pattern rewrites included.
-	BlocksEmitted int
-	// BlockRowsFiltered counts candidate rows the join kernel cut with
-	// its score bound before extending them: every cut drops the whole
-	// tail of a candidate column at once and counts as one
-	// PrunedBranches event, the rows it drops count here.
-	BlockRowsFiltered int
 	// TokenResolutions counts token slots resolved through the inverted
 	// token index while building match lists (cache hits across rewrites
 	// do not count, mirroring IndexScanned).
@@ -207,6 +195,19 @@ type Metrics struct {
 	// cross-product exceeded the matcher's cutoff, scanning was provably
 	// cheaper, or MinTokenSim <= 0 left the index unusable.
 	ScanFallbacks int
+	// BlocksEmitted counts join-frontier blocks the join kernel handed
+	// from one join depth to the next (the final depth's blocks go to
+	// answer materialisation), single-pattern rewrites included.
+	BlocksEmitted int
+	// BlockRowsFiltered counts candidate rows the join kernel cut with
+	// its score bound before extending them: every cut drops the whole
+	// tail of a candidate column at once and counts as one
+	// PrunedBranches event, the rows it drops count here.
+	BlockRowsFiltered int
+	// BoundBroadcasts counts bound-raising k-th-score exchanges between
+	// shards during the query; set by the sharded coordinator, 0 on a
+	// single-store run.
+	BoundBroadcasts int
 	// CrossShardPrunes counts prune decisions (cut join branches and
 	// skipped rewrites) that fired only because of a remote bound
 	// (RunConfig.Bound) raised above this run's own k-th score — the
@@ -234,6 +235,7 @@ func (m *Metrics) Add(o Metrics) {
 	m.ScanFallbacks += o.ScanFallbacks
 	m.BlocksEmitted += o.BlocksEmitted
 	m.BlockRowsFiltered += o.BlockRowsFiltered
+	m.BoundBroadcasts += o.BoundBroadcasts
 	m.CrossShardPrunes += o.CrossShardPrunes
 }
 
@@ -248,10 +250,14 @@ type RewriteTrace struct {
 	Rules []string
 	// Status is "evaluated", "skipped (weight bound)", "no matches",
 	// "no matches (semi-join)", "missing projection", "canceled" (the
-	// run's context was cancelled at or before this rewrite), or
-	// "budget" (the run's cost budget was exhausted at or before this
-	// rewrite).
+	// run's context was cancelled at or before this rewrite), "budget"
+	// (the run's cost budget was exhausted at or before this rewrite),
+	// or "panic" (a last, synthetic entry the engine appends when
+	// evaluation panicked and was recovered).
 	Status string
+	// Detail carries extra status context — for "panic" entries, the
+	// panic value and recovered stack. Empty otherwise.
+	Detail string `json:",omitempty"`
 	// PatternMatches holds the match-list length per pattern (only for
 	// evaluated rewrites; patterns skipped by a planner early-abort
 	// stay 0).
@@ -265,6 +271,10 @@ type RewriteTrace struct {
 	SemiJoinKept []int
 	// Answers counts answers created or improved by this rewrite.
 	Answers int
+	// Shard is the shard whose run produced this entry (always 0 on a
+	// single-store run; a sharded query's trace carries every shard's
+	// entries, shard-major).
+	Shard int
 }
 
 // Executor runs top-k processing for one query at a time against a frozen
@@ -313,19 +323,6 @@ func NewExecutor(st *store.Store, cache *Cache, opts Options) *Executor {
 	}
 }
 
-// Evaluator is an Executor bundled with a private match-list cache — the
-// original single-goroutine API, kept for baselines, experiments and
-// tests. The cache persists across Evaluate calls, warming up like the
-// precomputed posting lists of the original ElasticSearch backend.
-type Evaluator struct {
-	Executor
-}
-
-// New returns an evaluator with its own cache. The store must be frozen.
-func New(st *store.Store, opts Options) *Evaluator {
-	return &Evaluator{Executor: *NewExecutor(st, NewCache(0), opts)}
-}
-
 // Cache returns the executor's match-list cache.
 func (ev *Executor) Cache() *Cache { return ev.cache }
 
@@ -359,12 +356,6 @@ func MatcherFor(st *store.Store, opts Options) *score.Matcher {
 func (ev *Executor) LastTrace() []RewriteTrace {
 	return append([]RewriteTrace(nil), ev.lastTrace...)
 }
-
-// TraceLen returns the number of trace entries of the most recent
-// Evaluate call without copying the trace — for callers that only need
-// the length (or use it to pre-size a conversion) before deciding
-// whether to pay for the LastTrace copy.
-func (ev *Executor) TraceLen() int { return len(ev.lastTrace) }
 
 // Evaluate processes the rewrites of q (the first of which must be the
 // original query; the list must be sorted by descending weight, as
@@ -856,7 +847,6 @@ type joinEnv struct {
 	heads     []float64
 	state     *state
 	m         *Metrics
-	planFn    func(order []int) []int
 	answers   int
 }
 
@@ -931,18 +921,6 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 	// materialised.
 	buildOrder := ev.plan(pats, r.patKey)
 
-	// tracePlan is what surfaces in RewriteTrace.Plan and
-	// Derivation.Plan: one stable copy per rewrite, materialised lazily
-	// the first time something retains it. Every call within one rewrite
-	// passes the same order slice (aborts before the join-order
-	// refinement return immediately), so one memo is enough.
-	var planCopy []int
-	tracePlan := func(order []int) []int {
-		if planCopy == nil {
-			planCopy = append([]int(nil), order...)
-		}
-		return planCopy
-	}
 	// setTrace fills the retained trace fields, skipping the defensive
 	// scratch copies when the trace is a throwaway.
 	setTrace := func(status string, order []int) {
@@ -951,7 +929,7 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 			return
 		}
 		rt.PatternMatches = append([]int(nil), sc.sizes[:n]...)
-		rt.Plan = tracePlan(order)
+		rt.Plan = append([]int(nil), order...)
 	}
 
 	sc.lists = scratchSlice(sc.lists, n)
@@ -1071,7 +1049,6 @@ func (r *run) evalRewrite(rw relax.Rewrite, ri int, proj []string, st *state, m 
 		heads:     sc.heads,
 		state:     st,
 		m:         m,
-		planFn:    tracePlan,
 	}
 	sc.vals = scratchSlice(sc.vals, len(vp.names))
 	sc.triples = scratchSlice(sc.triples, n)
@@ -1135,7 +1112,6 @@ func (r *run) recordBinding(e *joinEnv, total float64, vals []rdf.TermID, triple
 				Rewrite:      e.rw,
 				Triples:      append([]store.ID(nil), triples...),
 				PatternProbs: append([]float64(nil), probs...),
-				Plan:         e.planFn(e.order),
 			},
 		}
 		return stored

@@ -25,7 +25,7 @@ func TestMaxOverDerivationsPicksHighestWeight(t *testing.T) {
 	q := query.MustParse("A affiliation ?y")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(rules).Expand(q)
-	ans, _ := New(st, Options{K: 5}).Evaluate(q, rewrites)
+	ans, _ := NewExecutor(st, NewCache(0), Options{K: 5}).Evaluate(q, rewrites)
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d", len(ans))
 	}
@@ -46,7 +46,7 @@ func TestVariablePredicateJoin(t *testing.T) {
 	// ?r ranges over predicates connecting A and B.
 	q := query.MustParse("SELECT ?r WHERE { A ?r B }")
 	rewrites := relax.NewExpander(nil).Expand(q)
-	ans, _ := New(st, Options{K: 10}).Evaluate(q, rewrites)
+	ans, _ := NewExecutor(st, NewCache(0), Options{K: 10}).Evaluate(q, rewrites)
 	if len(ans) != 2 {
 		t.Fatalf("answers = %d, want p and q", len(ans))
 	}
@@ -54,7 +54,7 @@ func TestVariablePredicateJoin(t *testing.T) {
 
 func TestRunConfigKOverrideKeepsCache(t *testing.T) {
 	st := demoXKG()
-	ev := New(st, Options{K: 1})
+	ev := NewExecutor(st, NewCache(0), Options{K: 1})
 	q := query.MustParse("?x ?p ?y")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
@@ -88,7 +88,7 @@ func TestRunConfigKOverrideKeepsCache(t *testing.T) {
 
 func TestRunNoTraceSkipsTraceEntirely(t *testing.T) {
 	st := demoXKG()
-	ev := New(st, Options{K: 5})
+	ev := NewExecutor(st, NewCache(0), Options{K: 5})
 	q := query.MustParse("?x ?p ?y")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
@@ -96,14 +96,14 @@ func TestRunNoTraceSkipsTraceEntirely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.TraceLen() == 0 {
+	if len(ev.LastTrace()) == 0 {
 		t.Fatal("default run collected no trace")
 	}
 	bare, _, err := ev.Run(context.Background(), q, rewrites, RunConfig{NoTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ev.TraceLen(); n != 0 {
+	if n := len(ev.LastTrace()); n != 0 {
 		t.Fatalf("NoTrace run left %d trace entries", n)
 	}
 	if len(bare) != len(traced) {
@@ -118,7 +118,7 @@ func TestRunNoTraceSkipsTraceEntirely(t *testing.T) {
 
 func TestRunCanceledContext(t *testing.T) {
 	st := demoXKG()
-	ev := New(st, Options{K: 5})
+	ev := NewExecutor(st, NewCache(0), Options{K: 5})
 	q := query.MustParse("?x ?p ?y")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
@@ -145,7 +145,7 @@ func TestRunCanceledContext(t *testing.T) {
 
 func TestRunEmitHookStreamsTopKAdmissions(t *testing.T) {
 	st := demoXKG()
-	ev := New(st, Options{K: 3})
+	ev := NewExecutor(st, NewCache(0), Options{K: 3})
 	q := query.MustParse("?x ?p ?y")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
@@ -180,7 +180,7 @@ func TestRunEmitHookStreamsTopKAdmissions(t *testing.T) {
 
 func TestTraceRecordsRewriteLifecycle(t *testing.T) {
 	st := demoXKG()
-	ev := New(st, Options{K: 5})
+	ev := NewExecutor(st, NewCache(0), Options{K: 5})
 	q := query.MustParse("AlbertEinstein hasAdvisor ?x")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(figure4()).Expand(q)
@@ -218,7 +218,7 @@ func TestTraceRecordsRewriteLifecycle(t *testing.T) {
 
 func TestTraceMarksSkippedRewrites(t *testing.T) {
 	st := demoXKG()
-	ev := New(st, Options{K: 1, Mode: Incremental})
+	ev := NewExecutor(st, NewCache(0), Options{K: 1, Mode: Incremental})
 	rules := []*relax.Rule{
 		relax.MustParseRule("weak", "?x bornIn ?y => ?x 'lectured at' ?y", 0.1, "manual"),
 	}
@@ -247,7 +247,7 @@ func TestMissingProjectionTraced(t *testing.T) {
 	rewrites := relax.NewExpander(rules).Expand(q)
 	// relax.Apply already rejects projection-losing rewrites when the
 	// projection is explicit, so all rewrites here remain valid.
-	ev := New(st, Options{K: 5})
+	ev := NewExecutor(st, NewCache(0), Options{K: 5})
 	ans, _ := ev.Evaluate(q, rewrites)
 	if len(ans) == 0 {
 		t.Fatal("no answers")
@@ -268,11 +268,11 @@ func TestUniformConfAblation(t *testing.T) {
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
 
-	full, _ := New(st, Options{K: 5}).Evaluate(q, rewrites)
+	full, _ := NewExecutor(st, NewCache(0), Options{K: 5}).Evaluate(q, rewrites)
 	if len(full) != 2 || full[0].Score == full[1].Score {
 		t.Fatalf("full scoring should separate by confidence: %+v", full)
 	}
-	uni, _ := New(st, Options{K: 5, UniformConf: true}).Evaluate(q, rewrites)
+	uni, _ := NewExecutor(st, NewCache(0), Options{K: 5, UniformConf: true}).Evaluate(q, rewrites)
 	if len(uni) != 2 || uni[0].Score != uni[1].Score {
 		t.Fatalf("uniform-conf scoring should tie: %+v", uni)
 	}
@@ -283,16 +283,16 @@ func TestNoNormalizeAblation(t *testing.T) {
 	q := query.MustParse("?x bornIn ?y")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(nil).Expand(q)
-	norm, _ := New(st, Options{K: 5}).Evaluate(q, rewrites)
-	raw, _ := New(st, Options{K: 5, NoNormalize: true}).Evaluate(q, rewrites)
+	norm, _ := NewExecutor(st, NewCache(0), Options{K: 5}).Evaluate(q, rewrites)
+	raw, _ := NewExecutor(st, NewCache(0), Options{K: 5, NoNormalize: true}).Evaluate(q, rewrites)
 	if len(norm) != 1 || len(raw) != 1 {
 		t.Fatalf("answers: %d, %d", len(norm), len(raw))
 	}
 	// One bornIn fact: normalised prob 1; unnormalised raw conf 1. Equal
 	// here — extend with a second fact to see the difference.
 	st2 := demoXKG2()
-	norm2, _ := New(st2, Options{K: 5}).Evaluate(q, rewrites)
-	raw2, _ := New(st2, Options{K: 5, NoNormalize: true}).Evaluate(q, rewrites)
+	norm2, _ := NewExecutor(st2, NewCache(0), Options{K: 5}).Evaluate(q, rewrites)
+	raw2, _ := NewExecutor(st2, NewCache(0), Options{K: 5, NoNormalize: true}).Evaluate(q, rewrites)
 	if norm2[0].Score >= raw2[0].Score {
 		t.Fatalf("normalised score %v should be below raw %v with 2 matches", norm2[0].Score, raw2[0].Score)
 	}
@@ -326,7 +326,7 @@ func TestTypedCompositionAnswersUserA(t *testing.T) {
 	}
 	q := query.MustParse("SELECT ?x WHERE { ?x bornIn Germany . Germany type country }")
 	rewrites := relax.NewExpander(rules).Expand(q)
-	ans, _ := New(st, Options{K: 5}).Evaluate(q, rewrites)
+	ans, _ := NewExecutor(st, NewCache(0), Options{K: 5}).Evaluate(q, rewrites)
 	if len(ans) != 2 {
 		t.Fatalf("answers = %d, want Einstein and Born", len(ans))
 	}
@@ -339,7 +339,7 @@ func TestFilterConstrainsAnswers(t *testing.T) {
 	st.Freeze()
 	q := query.MustParse("SELECT ?x WHERE { ?x bornOn ?d . FILTER(?d < '1900-01-01') }")
 	rewrites := relax.NewExpander(nil).Expand(q)
-	ans, _ := New(st, Options{K: 10}).Evaluate(q, rewrites)
+	ans, _ := NewExecutor(st, NewCache(0), Options{K: 10}).Evaluate(q, rewrites)
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d, want 1", len(ans))
 	}
@@ -362,7 +362,7 @@ func TestFilterSurvivesRelaxation(t *testing.T) {
 	// Relaxed query must still respect the date filter.
 	q := query.MustParse("SELECT ?x WHERE { ?x bornIn Germany . ?x bornOn ?d . FILTER(?d < '1900') }")
 	rewrites := relax.NewExpander(rules).Expand(q)
-	ans, _ := New(st, Options{K: 10}).Evaluate(q, rewrites)
+	ans, _ := NewExecutor(st, NewCache(0), Options{K: 10}).Evaluate(q, rewrites)
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d, want only pre-1900 A", len(ans))
 	}
@@ -378,7 +378,7 @@ func TestFilterVarVsVar(t *testing.T) {
 	st.Freeze()
 	q := query.MustParse("?x knows ?y . FILTER(?x != ?y)")
 	rewrites := relax.NewExpander(nil).Expand(q)
-	ans, _ := New(st, Options{K: 10}).Evaluate(q, rewrites)
+	ans, _ := NewExecutor(st, NewCache(0), Options{K: 10}).Evaluate(q, rewrites)
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d, want self-loop filtered", len(ans))
 	}

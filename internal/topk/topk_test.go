@@ -44,7 +44,7 @@ func evaluate(t *testing.T, st *store.Store, qs string, rules []*relax.Rule, mod
 	q := query.MustParse(qs)
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(rules).Expand(q)
-	ev := New(st, Options{K: k, Mode: mode})
+	ev := NewExecutor(st, NewCache(0), Options{K: k, Mode: mode})
 	ans, m := ev.Evaluate(q, rewrites)
 	return ans, m
 }
@@ -262,8 +262,8 @@ func TestIncrementalEquivalentToExhaustiveProperty(t *testing.T) {
 		q := query.MustParse(qs)
 		q.Projection = q.ProjectedVars()
 		rewrites := relax.NewExpander(rules).Expand(q)
-		inc, _ := New(st, Options{K: k, Mode: Incremental}).Evaluate(q, rewrites)
-		exh, _ := New(st, Options{K: k, Mode: Exhaustive}).Evaluate(q, rewrites)
+		inc, _ := NewExecutor(st, NewCache(0), Options{K: k, Mode: Incremental}).Evaluate(q, rewrites)
+		exh, _ := NewExecutor(st, NewCache(0), Options{K: k, Mode: Exhaustive}).Evaluate(q, rewrites)
 		if len(inc) != len(exh) {
 			t.Fatalf("round %d (%s, k=%d): %d vs %d answers", round, qs, k, len(inc), len(exh))
 		}
@@ -281,8 +281,8 @@ func TestIncrementalDoesLessWork(t *testing.T) {
 	q := query.MustParse("AlbertEinstein affiliation ?x LIMIT 1")
 	q.Projection = q.ProjectedVars()
 	rewrites := relax.NewExpander(rules).Expand(q)
-	_, mi := New(st, Options{K: 1, Mode: Incremental}).Evaluate(q, rewrites)
-	_, me := New(st, Options{K: 1, Mode: Exhaustive}).Evaluate(q, rewrites)
+	_, mi := NewExecutor(st, NewCache(0), Options{K: 1, Mode: Incremental}).Evaluate(q, rewrites)
+	_, me := NewExecutor(st, NewCache(0), Options{K: 1, Mode: Exhaustive}).Evaluate(q, rewrites)
 	if mi.RewritesEvaluated+mi.RewritesSkipped > me.RewritesEvaluated+1 {
 		t.Fatalf("metrics inconsistent: %+v vs %+v", mi, me)
 	}

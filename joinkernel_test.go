@@ -45,7 +45,7 @@ func renderAnswers(st *store.Store, answers []topk.Answer) string {
 func TestKernelDifferentialOnFullWorkload(t *testing.T) {
 	cases := workloadCases(t, world().Workload(70))
 	for _, km := range kernelModes {
-		ev := topk.New(fullInstance().Store, topk.Options{K: 10, Mode: km.mode})
+		ev := topk.NewExecutor(fullInstance().Store, topk.NewCache(0), topk.Options{K: 10, Mode: km.mode})
 		for _, c := range cases {
 			got, _, err := ev.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{})
 			if err != nil {
@@ -69,8 +69,8 @@ func TestIncrementalByteIdenticalToExhaustive(t *testing.T) {
 		}
 		q.Projection = q.ProjectedVars()
 		rewrites := relax.NewExpander(inst.Rules).Expand(q)
-		inc, _ := topk.New(inst.Store, topk.Options{K: 10, Mode: topk.Incremental}).Evaluate(q, rewrites)
-		exh, _ := topk.New(inst.Store, topk.Options{K: 10, Mode: topk.Exhaustive}).Evaluate(q, rewrites)
+		inc, _ := topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{K: 10, Mode: topk.Incremental}).Evaluate(q, rewrites)
+		exh, _ := topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{K: 10, Mode: topk.Exhaustive}).Evaluate(q, rewrites)
 		if got, want := renderAnswers(inst.Store, inc), renderAnswers(inst.Store, exh); got != want {
 			t.Fatalf("%s: incremental answers differ from exhaustive:\n--- incremental\n%s--- exhaustive\n%s", wq.ID, got, want)
 		}

@@ -155,7 +155,7 @@ func TestAdmissionQueuedGrant(t *testing.T) {
 func TestPanicRecoveredSerial(t *testing.T) {
 	e := NewDemoEngine()
 	const text = "AlbertEinstein hasAdvisor ?x"
-	if _, err := e.Query(text); err != nil { // warm cache for the rerun comparison
+	if _, err := e.QueryContext(context.Background(), text); err != nil { // warm cache for the rerun comparison
 		t.Fatal(err)
 	}
 	oracle, err := e.QueryContext(context.Background(), text)

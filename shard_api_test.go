@@ -9,6 +9,7 @@ package trinit
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -65,11 +66,11 @@ func TestEngineShardedParity(t *testing.T) {
 	// run only on the shards, join-heavy ones only residually.
 	seen := map[int]bool{}
 	for _, wq := range queries {
-		want, err := base.Query(wq.Text)
+		want, err := base.QueryContext(context.Background(), wq.Text)
 		if err != nil {
 			t.Fatalf("%s unsharded: %v", wq.ID, err)
 		}
-		got, err := sharded.Query(wq.Text)
+		got, err := sharded.QueryContext(context.Background(), wq.Text)
 		if err != nil {
 			t.Fatalf("%s sharded: %v", wq.ID, err)
 		}
@@ -144,7 +145,7 @@ func TestReshard(t *testing.T) {
 	if e.ShardingStats().Shards != 0 {
 		t.Fatalf("1-shard engine built a coordinator: %+v", e.ShardingStats())
 	}
-	want, err := e.Query(queries[0].Text)
+	want, err := e.QueryContext(context.Background(), queries[0].Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestReshard(t *testing.T) {
 	if got := e.ShardingStats().Shards; got != 2 {
 		t.Fatalf("after Reshard(2): %d shards", got)
 	}
-	got, err := e.Query(queries[0].Text)
+	got, err := e.QueryContext(context.Background(), queries[0].Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestSaveShardSnapshots(t *testing.T) {
 		if se.Stats().Rules != base.Stats().Rules {
 			t.Errorf("shard %d snapshot carries %d rules, engine has %d", i, se.Stats().Rules, base.Stats().Rules)
 		}
-		if _, err := se.Query(queries[0].Text); err != nil {
+		if _, err := se.QueryContext(context.Background(), queries[0].Text); err != nil {
 			t.Errorf("shard %d engine does not answer: %v", i, err)
 		}
 	}
@@ -266,11 +267,11 @@ func TestPersistOpenSharded(t *testing.T) {
 		t.Fatalf("reopened engine has %d shards, want 3", got)
 	}
 	for _, wq := range queries[:5] {
-		want, err := base.Query(wq.Text)
+		want, err := base.QueryContext(context.Background(), wq.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := reopened.Query(wq.Text)
+		got, err := reopened.QueryContext(context.Background(), wq.Text)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func TestShardDifferential(t *testing.T) {
 	// themselves checked against the reference.
 	unsharded := make([][][]topk.Answer, len(kernelModes))
 	for mi, km := range kernelModes {
-		ev := topk.New(inst.Store, topk.Options{K: 10, Mode: km.mode})
+		ev := topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{K: 10, Mode: km.mode})
 		unsharded[mi] = make([][]topk.Answer, len(cases))
 		for qi, c := range cases {
 			ans, _, err := ev.Run(context.Background(), c.q, c.rewrites, topk.RunConfig{})

@@ -140,7 +140,7 @@ func TestSuggestDifferentialUnderIngest(t *testing.T) {
 	if !seen["worksFor"] || !seen["employedBy"] {
 		t.Fatalf("'worked at' suggestions seen %v, want both worksFor and employedBy", seen)
 	}
-	res, err := e.Query(suggestQueries[0])
+	res, err := e.QueryContext(context.Background(), suggestQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestTokenKernelDifferentialFuzz(t *testing.T) {
 		}
 		c := newRefCase(fmt.Sprintf("round %d", round), m, inst.Rules, q)
 		for _, km := range kernelModes {
-			got, _ := topk.New(inst.Store, topk.Options{K: 10, Mode: km.mode}).Evaluate(q, c.rewrites)
+			got, _ := topk.NewExecutor(inst.Store, topk.NewCache(0), topk.Options{K: 10, Mode: km.mode}).Evaluate(q, c.rewrites)
 			c.check(t, "["+km.name+"]", got)
 		}
 	}

@@ -18,7 +18,7 @@
 //	e.ExtendFromDocuments([]trinit.Document{{ID: "d1", Text: "..."}})
 //	e.Freeze()
 //	e.MineRules(trinit.DefaultMiningConfig())
-//	res, err := e.Query("?x bornIn Germany LIMIT 5")
+//	res, err := e.QueryContext(context.Background(), "?x bornIn Germany LIMIT 5")
 package trinit
 
 import (
@@ -774,53 +774,22 @@ type Answer struct {
 	Explanation Explanation
 }
 
-// Explanation is the public form of an answer explanation (§5).
-type Explanation struct {
-	OriginalQuery  string
-	RewrittenQuery string
-	Weight         float64
-	KGTriples      []TripleEvidence
-	XKGTriples     []TripleEvidence
-	Rules          []RuleEvidence
-	// Text is the rendered multi-line explanation.
-	Text string
-}
+// Explanation is the provenance of one answer (§5): the contributing KG
+// and XKG triples, the invoked rules and the rendered text, as the
+// explanation pipeline builds it.
+type Explanation = explain.Explanation
 
-// TripleEvidence is one contributing triple.
-type TripleEvidence struct {
-	Triple     string
-	Pattern    string
-	Source     string // "KG" or "XKG"
-	Confidence float64
-	Prob       float64
-	Doc        string
-	Sentence   string
-}
+// TripleEvidence is one contributing triple of an Explanation.
+type TripleEvidence = explain.TripleEvidence
 
-// RuleEvidence is one invoked relaxation rule.
-type RuleEvidence struct {
-	ID     string
-	Rule   string
-	Origin string
-	Weight float64
-}
+// RuleEvidence is one invoked relaxation rule of an Explanation.
+type RuleEvidence = explain.RuleEvidence
 
 // Notice reports that a structural relaxation contributed to the answers.
-type Notice struct {
-	RuleID  string
-	Origin  string
-	Rule    string
-	Message string
-	Answers int
-}
+type Notice = suggest.Notice
 
 // Suggestion proposes replacing a textual token with a KG resource.
-type Suggestion struct {
-	Token    string
-	Resource string
-	Overlap  float64
-	Position string
-}
+type Suggestion = suggest.TokenSuggestion
 
 // Completion is an auto-completion candidate.
 type Completion struct {
@@ -828,80 +797,14 @@ type Completion struct {
 	Weight float64
 }
 
-// Metrics quantify the processing work of one query. See topk.Metrics for
-// the per-field documentation.
-type Metrics struct {
-	RewritesTotal     int
-	RewritesEvaluated int
-	RewritesSkipped   int
-	SortedAccesses    int
-	IndexScanned      int
-	PatternsMatched   int
-	JoinBranches      int
-	PrunedBranches    int
-	// HashProbes counts hash-index bucket lookups the join kernel issued
-	// in place of full match-list scans.
-	HashProbes int
-	// SemiJoinDropped counts match-list entries pruned by the semi-join
-	// reduction pass before join enumeration.
-	SemiJoinDropped int
-	// TokenResolutions counts token slots resolved through the inverted
-	// token index while building match lists.
-	TokenResolutions int
-	// ScanFallbacks counts token-slot patterns whose match lists were
-	// built by the wildcard scan instead of token resolution.
-	ScanFallbacks int
-	// BlocksEmitted counts frontier blocks the block-at-a-time join
-	// kernel flushed to the next join depth.
-	BlocksEmitted int
-	// BlockRowsFiltered counts candidate join rows the block kernel cut
-	// with the shared top-k bound before they were materialised.
-	BlockRowsFiltered int
-	// BoundBroadcasts counts bound-raising k-th-score exchanges between
-	// shards during this query (0 on unsharded engines and under
-	// WithoutSharding).
-	BoundBroadcasts int
-	// CrossShardPrunes counts prune decisions taken against a bound that
-	// arrived from another shard — work the bound exchange saved that
-	// shard-local knowledge alone would not have.
-	CrossShardPrunes int
-}
+// Metrics quantify the processing work of one query, as the top-k
+// processor counts it.
+type Metrics = topk.Metrics
 
 // TraceEntry is one internal processing step: a rewrite considered by the
 // top-k processor and what happened to it (§5: "TriniT can show internal
 // steps").
-type TraceEntry struct {
-	// Query is the rewritten query.
-	Query string
-	// Weight is the derivation weight.
-	Weight float64
-	// Rules lists the IDs of the rules applied in the derivation.
-	Rules []string
-	// Status is "evaluated", "skipped (weight bound)", "no matches",
-	// "missing projection", "canceled", "budget" (the query's cost
-	// budget ran out at or before this rewrite), or "panic" (a last,
-	// synthetic entry: evaluation panicked and was recovered).
-	Status string
-	// Detail carries extra status context — for "panic" entries, the
-	// panic value and recovered stack. Empty otherwise.
-	Detail string `json:",omitempty"`
-	// PatternMatches holds per-pattern match-list sizes.
-	PatternMatches []int
-	// Plan holds the pattern indices in the order the planner processed
-	// them (ascending estimated selectivity, refined by join-graph
-	// connectivity); nil when the rewrite was not matched.
-	Plan []int
-	// SemiJoinKept holds the per-pattern number of match-list entries
-	// surviving the semi-join reduction pass, in pattern order (nil when
-	// the pass did not run).
-	SemiJoinKept []int
-	// Answers counts answers created or improved by the rewrite.
-	Answers int
-	// Shard is the shard whose run produced this entry (always 0 on
-	// unsharded engines; on a sharded engine the trace carries every
-	// shard's entries, shard-major).
-	Shard int
-}
+type TraceEntry = topk.RewriteTrace
 
 // Result is the outcome of one query.
 type Result struct {
@@ -971,9 +874,8 @@ func (r *Result) Explain(i int) (Explanation, error) {
 		return Explanation{}, errors.New("trinit: result carries no explanation source")
 	}
 	ex := explain.Explain(r.src.store(i), r.src.query, r.src.raw[i])
-	pub := publicExplanation(ex)
-	r.Answers[i].Explanation = pub
-	return pub, nil
+	r.Answers[i].Explanation = ex
+	return ex, nil
 }
 
 // QueryMode selects the per-query processing strategy for WithMode.
@@ -990,7 +892,7 @@ const (
 )
 
 // queryConfig is the resolved option set of one query. The zero value
-// reproduces the classic Query behaviour exactly.
+// is the engine's defaults.
 type queryConfig struct {
 	k         int
 	timeout   time.Duration
@@ -1115,13 +1017,6 @@ type AnswerEvent struct {
 	Metrics *Metrics
 }
 
-// Query parses and evaluates a query with relaxation and top-k ranking.
-// The engine must be frozen. It is QueryContext without cancellation —
-// a background context and the default options.
-func (e *Engine) Query(text string) (*Result, error) {
-	return e.QueryContext(context.Background(), text)
-}
-
 // QueryContext parses and evaluates a query with relaxation and top-k
 // ranking, scoped to ctx: cancellation and deadline expiry are observed
 // at every rewrite boundary and every few join branches, returning the
@@ -1150,8 +1045,8 @@ func (e *Engine) QueryStream(ctx context.Context, text string, fn func(AnswerEve
 	return e.queryContext(ctx, text, fn, opts)
 }
 
-// queryContext is the request-scoped query core behind Query,
-// QueryContext and QueryStream.
+// queryContext is the request-scoped query core behind QueryContext and
+// QueryStream.
 func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEvent) error, opts []QueryOption) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1246,7 +1141,6 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 	var metrics topk.Metrics
 	var traces []TraceEntry
 	var shardStores []*store.Store
-	var broadcasts int64
 	switch {
 	case runErr != nil:
 	case group != nil:
@@ -1256,7 +1150,8 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 		e.shardedQueries.Add(1)
 		var sres shard.RunResult
 		sres, runErr = group.Run(runCtx, q, rewrites, rcfg)
-		answers, metrics, broadcasts = sres.Answers, sres.Metrics, sres.Broadcasts
+		answers, metrics = sres.Answers, sres.Metrics
+		metrics.BoundBroadcasts = int(sres.Broadcasts)
 		// Explanations must resolve each answer's derivation against the
 		// store that produced it: derivation triple IDs are store-local,
 		// and residual answers live in the retained full store.
@@ -1274,7 +1169,8 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 			// concatenation.
 			for si, tr := range sres.Traces {
 				for _, t := range tr {
-					traces = append(traces, publicTraceEntry(t, si))
+					t.Shard = si
+					traces = append(traces, t)
 				}
 			}
 		}
@@ -1295,15 +1191,8 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 				pool.Put(ev)
 			}()
 			answers, metrics, runErr = ev.Run(runCtx, q, rewrites, rcfg)
-			// TraceLen sizes the conversion up front and skips the
-			// LastTrace copy entirely for empty traces — the copy would be
-			// pure waste when only the length is needed.
-			if n := ev.TraceLen(); !cfg.noTrace && n > 0 {
-				traces = make([]TraceEntry, 0, n)
-				for _, t := range ev.LastTrace() {
-					traces = append(traces, publicTraceEntry(t, 0))
-				}
-			}
+			// Empty (nil) under WithoutTrace: Run keeps no trace then.
+			traces = ev.LastTrace()
 		}()
 	}
 	// Map processor-level degradations to the public typed errors (and
@@ -1335,24 +1224,7 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 		Query:   q.String(),
 		Trace:   traces,
 		Partial: runErr != nil && fnErr == nil,
-		Metrics: Metrics{
-			RewritesTotal:     metrics.RewritesTotal,
-			RewritesEvaluated: metrics.RewritesEvaluated,
-			RewritesSkipped:   metrics.RewritesSkipped,
-			SortedAccesses:    metrics.SortedAccesses,
-			IndexScanned:      metrics.IndexScanned,
-			PatternsMatched:   metrics.PatternsMatched,
-			JoinBranches:      metrics.JoinBranches,
-			PrunedBranches:    metrics.PrunedBranches,
-			HashProbes:        metrics.HashProbes,
-			SemiJoinDropped:   metrics.SemiJoinDropped,
-			TokenResolutions:  metrics.TokenResolutions,
-			ScanFallbacks:     metrics.ScanFallbacks,
-			BlocksEmitted:     metrics.BlocksEmitted,
-			BlockRowsFiltered: metrics.BlockRowsFiltered,
-			BoundBroadcasts:   int(broadcasts),
-			CrossShardPrunes:  metrics.CrossShardPrunes,
-		},
+		Metrics: metrics,
 	}
 	if group != nil {
 		res.Shards = group.Shards()
@@ -1376,27 +1248,12 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 			if shardStores != nil {
 				est = shardStores[i]
 			}
-			pub.Explanation = publicExplanation(explain.Explain(est, q, a))
+			pub.Explanation = explain.Explain(est, q, a)
 		}
 		res.Answers = append(res.Answers, pub)
 	}
-	for _, n := range suggest.RuleNotices(answers) {
-		res.Notices = append(res.Notices, Notice{
-			RuleID:  n.RuleID,
-			Origin:  n.Origin,
-			Rule:    n.Rule,
-			Message: n.Message,
-			Answers: n.Answers,
-		})
-	}
-	for _, s := range ver.sug.Suggest(q) {
-		res.Suggestions = append(res.Suggestions, Suggestion{
-			Token:    s.Token,
-			Resource: s.Resource,
-			Overlap:  s.Overlap,
-			Position: s.Position,
-		})
-	}
+	res.Notices = suggest.RuleNotices(answers)
+	res.Suggestions = ver.sug.Suggest(q)
 
 	if fn != nil && fnErr == nil {
 		// Final ranked answers, then the terminal done event — sent
@@ -1429,22 +1286,6 @@ func budgetLimited(b Budget) bool {
 	return b.JoinBranches > 0 || b.HashProbes > 0 || b.Blocks > 0
 }
 
-// publicTraceEntry converts one processor trace record, tagging the
-// shard it came from (0 on the single-store pipeline).
-func publicTraceEntry(t topk.RewriteTrace, shard int) TraceEntry {
-	return TraceEntry{
-		Query:          t.Query,
-		Weight:         t.Weight,
-		Rules:          t.Rules,
-		Status:         t.Status,
-		PatternMatches: t.PatternMatches,
-		Plan:           t.Plan,
-		SemiJoinKept:   t.SemiJoinKept,
-		Answers:        t.Answers,
-		Shard:          shard,
-	}
-}
-
 // publicAnswer converts a processor answer to its public form, without
 // an explanation. dict must be the dictionary of the store version the
 // answer was computed against.
@@ -1457,36 +1298,6 @@ func publicAnswer(dict *rdf.Dict, a topk.Answer) Answer {
 		pub.Bindings[v] = dict.Term(id).Text
 	}
 	return pub
-}
-
-func publicExplanation(ex explain.Explanation) Explanation {
-	out := Explanation{
-		OriginalQuery:  ex.OriginalQuery,
-		RewrittenQuery: ex.RewrittenQuery,
-		Weight:         ex.Weight,
-		Text:           ex.String(),
-	}
-	conv := func(ts []explain.TripleInfo) []TripleEvidence {
-		out := make([]TripleEvidence, len(ts))
-		for i, t := range ts {
-			out[i] = TripleEvidence{
-				Triple:     t.Text,
-				Pattern:    t.Pattern,
-				Source:     t.Source.String(),
-				Confidence: t.Conf,
-				Prob:       t.Prob,
-				Doc:        t.Doc,
-				Sentence:   t.Sentence,
-			}
-		}
-		return out
-	}
-	out.KGTriples = conv(ex.KGTriples)
-	out.XKGTriples = conv(ex.XKGTriples)
-	for _, r := range ex.Rules {
-		out.Rules = append(out.Rules, RuleEvidence{ID: r.ID, Rule: r.Rule, Origin: r.Origin, Weight: r.Weight})
-	}
-	return out
 }
 
 // Complete returns auto-completions for a prefix typed into an S, P or O

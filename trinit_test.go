@@ -18,7 +18,7 @@ func TestEngineLifecycle(t *testing.T) {
 	if err := e.AddKGLiteral("AlbertEinstein", "bornOn", "1879-03-14"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("?x bornIn Ulm"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "?x bornIn Ulm"); err == nil {
 		t.Fatal("Query before Freeze succeeded")
 	}
 	e.Freeze()
@@ -28,7 +28,7 @@ func TestEngineLifecycle(t *testing.T) {
 	if err := e.AddKGFact("A", "p", "B"); err == nil {
 		t.Fatal("AddKGFact after Freeze succeeded")
 	}
-	res, err := e.Query("?x bornIn Ulm")
+	res, err := e.QueryContext(context.Background(), "?x bornIn Ulm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEngineLifecycle(t *testing.T) {
 func TestEngineQueryParseError(t *testing.T) {
 	e := New(nil)
 	e.Freeze()
-	if _, err := e.Query("not a 'query"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "not a 'query"); err == nil {
 		t.Fatal("bad query accepted")
 	}
 }
@@ -48,7 +48,7 @@ func TestEngineQueryParseError(t *testing.T) {
 func TestDemoEngineUsersAToD(t *testing.T) {
 	e := NewDemoEngine()
 	for _, dq := range DemoQueries() {
-		res, err := e.Query(dq.Query)
+		res, err := e.QueryContext(context.Background(), dq.Query)
 		if err != nil {
 			t.Fatalf("user %s: %v", dq.User, err)
 		}
@@ -67,7 +67,7 @@ func TestDemoEngineUsersAToD(t *testing.T) {
 
 func TestDemoEngineExplanations(t *testing.T) {
 	e := NewDemoEngine()
-	res, err := e.Query("SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
+	res, err := e.QueryContext(context.Background(), "SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEngineExtendAndMine(t *testing.T) {
 	}
 	// The mined rule lets an affiliation query reach the corpus-only
 	// fact about Dorian Dittmar.
-	res, err := e.Query("?x affiliation NorthfordUniversity")
+	res, err := e.QueryContext(context.Background(), "?x affiliation NorthfordUniversity")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestEngineAddTokenTriple(t *testing.T) {
 		t.Fatal("bad confidence accepted")
 	}
 	e.Freeze()
-	res, err := e.Query("AlbertEinstein 'won nobel for' ?x")
+	res, err := e.QueryContext(context.Background(), "AlbertEinstein 'won nobel for' ?x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestEngineSuggestions(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Freeze()
-	res, err := e.Query("?x 'works at' ?y")
+	res, err := e.QueryContext(context.Background(), "?x 'works at' ?y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestEngineSuggestions(t *testing.T) {
 
 func TestEngineMetricsExposed(t *testing.T) {
 	e := NewDemoEngine()
-	res, err := e.Query("?x bornIn Germany . Germany type country")
+	res, err := e.QueryContext(context.Background(), "?x bornIn Germany . Germany type country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestSyntheticEngineEndToEnd(t *testing.T) {
 	}
 	answered := 0
 	for _, q := range queries {
-		res, err := e.Query(q.Text + " LIMIT 5")
+		res, err := e.QueryContext(context.Background(), q.Text+" LIMIT 5")
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
@@ -335,7 +335,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 			for j := 0; j < 10; j++ {
 				switch j % 4 {
 				case 0:
-					if _, err := e.Query("AlbertEinstein hasAdvisor ?x"); err != nil {
+					if _, err := e.QueryContext(context.Background(), "AlbertEinstein hasAdvisor ?x"); err != nil {
 						errs <- err
 					}
 				case 1:
@@ -379,11 +379,11 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	}
 	// The restored engine must answer the demo queries identically.
 	for _, dq := range DemoQueries() {
-		r1, err := src.Query(dq.Query)
+		r1, err := src.QueryContext(context.Background(), dq.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := restored.Query(dq.Query)
+		r2, err := restored.QueryContext(context.Background(), dq.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +484,7 @@ func TestMineRulesExtendedSources(t *testing.T) {
 
 func TestQueryTrace(t *testing.T) {
 	e := NewDemoEngine()
-	res, err := e.Query("SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
+	res, err := e.QueryContext(context.Background(), "SELECT ?x WHERE { AlbertEinstein affiliation ?x . ?x member IvyLeague }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestEngineOptionsMaxRewrites(t *testing.T) {
 			t.Fatalf("rule %s: %v", r.ID, err)
 		}
 	}
-	res, err := limited.Query("AlbertEinstein hasAdvisor ?x")
+	res, err := limited.QueryContext(context.Background(), "AlbertEinstein hasAdvisor ?x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestEngineMinTokenSimilarity(t *testing.T) {
 		t.Fatal(err)
 	}
 	strict.Freeze()
-	res, err := strict.Query("?x 'won prize' ?y")
+	res, err := strict.QueryContext(context.Background(), "?x 'won prize' ?y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestEngineMinTokenSimilarity(t *testing.T) {
 		t.Fatal(err)
 	}
 	loose.Freeze()
-	res, err = loose.Query("?x 'won prize' ?y")
+	res, err = loose.QueryContext(context.Background(), "?x 'won prize' ?y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func TestEngineRemoveRule(t *testing.T) {
 		t.Fatalf("rules = %d", len(e.Rules()))
 	}
 	// Without the inversion rule, user B's query fails again.
-	res, err := e.Query("AlbertEinstein hasAdvisor ?x")
+	res, err := e.QueryContext(context.Background(), "AlbertEinstein hasAdvisor ?x")
 	if err != nil {
 		t.Fatal(err)
 	}

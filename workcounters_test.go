@@ -123,3 +123,37 @@ func TestWarmRunAllocCeiling(t *testing.T) {
 		t.Fatalf("a warm serial run allocated %.0f times, ceiling %d", allocs, warmRunAllocCeiling)
 	}
 }
+
+// warmQueryAllocCeiling bounds the mean heap allocations of one warm,
+// explained QueryContext over the 70-query synthetic workload at k = 10:
+// parse, expansion, the warm top-k run, eager explanations, notices and
+// suggestions.
+const warmQueryAllocCeiling = 800
+
+// TestWarmQueryAllocCeiling guards the allocation profile of a whole
+// warm query with explanations — the path /api/query serves — on top of
+// the kernel-only TestWarmRunAllocCeiling.
+func TestWarmQueryAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		// Under the race detector sync.Pool drops pooled executors at
+		// random, so the count measures the detector, not the query.
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e, queries, err := NewSyntheticEngine(DefaultSyntheticConfig(), 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAll := func() {
+		for _, q := range queries {
+			if _, err := e.QueryContext(context.Background(), q.Text, WithK(10), WithoutTrace()); err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+		}
+	}
+	runAll()
+	perQuery := testing.AllocsPerRun(5, runAll) / float64(len(queries))
+	t.Logf("%.0f allocations per warm explained query (ceiling %d)", perQuery, warmQueryAllocCeiling)
+	if perQuery > warmQueryAllocCeiling {
+		t.Fatalf("a warm explained query allocated %.0f times on average, ceiling %d", perQuery, warmQueryAllocCeiling)
+	}
+}
